@@ -51,8 +51,8 @@ class FillerHgvq : public pipeline::VpScheme
     doPredict(uint64_t pc, unsigned ahead, int64_t &value,
               uint64_t &token) override
     {
-        bool predicted = gd.predictWithWindow(
-            pc, queue.windowAtDispatch(), value);
+        queue.windowAtDispatch(window);
+        bool predicted = gd.predictWithWindow(pc, window, value);
         int64_t fill = 0;
         switch (filler) {
           case Filler::Zero:
@@ -73,8 +73,8 @@ class FillerHgvq : public pipeline::VpScheme
                 int64_t actual) override
     {
         queue.commitSlot(d.token, actual);
-        gd.trainWithWindow(pc, queue.windowBeforeSlot(d.token),
-                           actual);
+        queue.windowBeforeSlot(d.token, window);
+        gd.trainWithWindow(pc, window, actual);
         lastValue.update(pc, actual);
         stride.update(pc, actual);
     }
@@ -83,6 +83,7 @@ class FillerHgvq : public pipeline::VpScheme
     Filler filler;
     core::GDiffPredictor gd;
     core::HybridGvq queue;
+    core::ValueWindow window;
     predictors::LastValuePredictor lastValue;
     predictors::StridePredictor stride;
 };

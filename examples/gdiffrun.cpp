@@ -272,6 +272,10 @@ main(int argc, char **argv)
     spec.sampleSeed = o.sampleSeed;
 
     runner::SweepRunner sweep(spec);
+    // Reject every bad job before the pool starts: a worker that hit
+    // one would fatal() mid-sweep.
+    if (std::string error; !runner::validateJobs(sweep.jobs(), &error))
+        fatal("%s", error.c_str());
 
     // Resuming implies appending: the jsonl file already holds the
     // manifest-recorded jobs from the previous run.

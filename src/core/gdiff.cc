@@ -49,42 +49,39 @@ GDiffPredictor::trainWithWindow(uint64_t pc, const ValueWindow &window,
 {
     Entry &e = table.lookup(pc);
 
-    // Compute the fresh differences against the visible window.
-    std::array<int64_t, maxOrder> cur{};
-    unsigned n = window.count;
-    for (unsigned i = 0; i < n; ++i)
-        cur[i] = wrapSub(actual, window.values[i]);
-
-    // Detect a match against the stored differences; select the
-    // closest matching distance (paper Fig. 5's parallel comparators
-    // with nearest-first priority).
-    unsigned compare = n < e.diffCount ? n : e.diffCount;
+    // Compute the fresh differences against the visible window and
+    // detect a match against the stored ones, selecting the closest
+    // matching distance (paper Fig. 5's parallel comparators with
+    // nearest-first priority). Either way the fresh differences
+    // replace the stored ones (paper §3: on no match the distance
+    // field is left alone). Stored diffs past diffCount are never
+    // read, so only the live prefix is written.
+    const unsigned n = window.count;
+    const unsigned compare = n < e.diffCount ? n : e.diffCount;
     int match = -1;
-    for (unsigned i = 0; i < compare; ++i) {
-        if (cur[i] == e.diffs[i]) {
+    for (unsigned i = 0; i < n; ++i) {
+        int64_t d = wrapSub(actual, window.values[i]);
+        if (match < 0 && i < compare && d == e.diffs[i])
             match = static_cast<int>(i);
-            break;
-        }
+        e.diffs[i] = d;
     }
     if (match >= 0)
         e.distance = static_cast<int16_t>(match);
-    // Either way, the freshly calculated differences are stored
-    // (paper §3: on no match the new diffs replace the old ones and
-    // the distance field is left alone).
-    e.diffs = cur;
     e.diffCount = static_cast<uint8_t>(n);
 }
 
 bool
 GDiffPredictor::predict(uint64_t pc, int64_t &value)
 {
-    return predictWithWindow(pc, gvq.visibleWindow(), value);
+    gvq.visibleWindow(window);
+    return predictWithWindow(pc, window, value);
 }
 
 void
 GDiffPredictor::update(uint64_t pc, int64_t actual)
 {
-    trainWithWindow(pc, gvq.visibleWindow(), actual);
+    gvq.visibleWindow(window);
+    trainWithWindow(pc, window, actual);
     gvq.push(actual);
 }
 
@@ -141,7 +138,7 @@ GDiffPredictor::predictUpdateBatch(const uint64_t *pcs,
                 e.diffs[i] = cur[i];
         }
         // Stored diffs beyond diffCount are never read, so only the
-        // live prefix needs rewriting (the scalar path zero-fills).
+        // live prefix needs rewriting.
         e.diffCount = static_cast<uint8_t>(wcount);
     }
 

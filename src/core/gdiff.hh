@@ -125,6 +125,7 @@ class GDiffPredictor : public predictors::ValuePredictor
     GDiffConfig cfg;
     predictors::PcIndexedTable<Entry> table;
     GlobalValueQueue gvq;
+    ValueWindow window;              ///< scalar: refilled per query
     std::vector<int64_t> extScratch; ///< batch: linearized stream
 };
 

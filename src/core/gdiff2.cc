@@ -27,7 +27,8 @@ GDiff2Predictor::GDiff2Predictor(const GDiff2Config &config)
     : cfg(config), table(cfg.tableEntries, cfg.hashIndex),
       gvq(cfg.order, 0)
 {
-    GDIFF_ASSERT(cfg.order >= 2 && cfg.order <= 16,
+    GDIFF_ASSERT(cfg.order >= gdiff2MinOrder &&
+                     cfg.order <= gdiff2MaxOrder,
                  "gdiff2 order %u out of range (pair storage is "
                  "quadratic)",
                  cfg.order);
@@ -172,13 +173,15 @@ GDiff2Predictor::trainWithWindow(uint64_t pc, const ValueWindow &window,
 bool
 GDiff2Predictor::predict(uint64_t pc, int64_t &value)
 {
-    return predictWithWindow(pc, gvq.visibleWindow(), value);
+    gvq.visibleWindow(window);
+    return predictWithWindow(pc, window, value);
 }
 
 void
 GDiff2Predictor::update(uint64_t pc, int64_t actual)
 {
-    trainWithWindow(pc, gvq.visibleWindow(), actual);
+    gvq.visibleWindow(window);
+    trainWithWindow(pc, window, actual);
     gvq.push(actual);
 }
 
@@ -194,7 +197,7 @@ GDiff2Predictor::predictUpdateBatch(const uint64_t *pcs,
         extScratch[h + l] = actuals[l];
     const int64_t *const ext = extScratch.data();
 
-    ValueWindow w;
+    ValueWindow &w = window;
     for (uint32_t l = 0; l < n; ++l) {
         const size_t have = h + l;
         w.count = static_cast<unsigned>(

@@ -37,6 +37,10 @@
 namespace gdiff {
 namespace core {
 
+/// Supported gdiff2 orders: pair storage is quadratic in the order.
+inline constexpr unsigned gdiff2MinOrder = 2;
+inline constexpr unsigned gdiff2MaxOrder = 16;
+
 /** Configuration of the two-term predictor. */
 struct GDiff2Config
 {
@@ -103,6 +107,7 @@ class GDiff2Predictor : public predictors::ValuePredictor
     GDiff2Config cfg;
     predictors::PcIndexedTable<Entry> table;
     GlobalValueQueue gvq;
+    ValueWindow window; ///< refilled per scalar query and batch lane
     uint64_t singleSelections = 0;
     uint64_t pairSelections = 0;
     std::vector<int64_t> extScratch; ///< batch: linearized stream

@@ -15,6 +15,7 @@
 #ifndef GDIFF_CORE_GVQ_HH
 #define GDIFF_CORE_GVQ_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -31,6 +32,11 @@ inline constexpr unsigned maxOrder = 64;
  * A snapshot of the n most recent visible queue values.
  * values[k] is the value produced k+1 value-productions before the
  * reference point; count may be < order while the queue warms up.
+ *
+ * The queues fill a caller-owned window in place and write only
+ * values[0, count): slots past count hold whatever an earlier fill
+ * left there and are never read. Hot paths keep one window and
+ * refill it, so the 512-byte array is zeroed once, not per query.
  */
 struct ValueWindow
 {
@@ -60,17 +66,14 @@ class GlobalValueQueue
     /** Append a newly produced value. */
     void push(int64_t v) { hist.push(v); }
 
-    /** @return the delay-shifted visible window. */
-    ValueWindow
-    visibleWindow() const
+    /** Fill @p w with the delay-shifted visible window. */
+    void
+    visibleWindow(ValueWindow &w) const
     {
-        ValueWindow w;
         size_t have = hist.size() > delay_ ? hist.size() - delay_ : 0;
         w.count = static_cast<unsigned>(
             have > order_ ? order_ : have);
-        for (unsigned k = 0; k < w.count; ++k)
-            w.values[k] = hist[delay_ + k];
-        return w;
+        hist.copyAges(delay_, w.count, w.values.data());
     }
 
     /** @return the configured window size n. */
@@ -169,22 +172,22 @@ class HybridGvq
         hist.replace(static_cast<size_t>(newest - slot), v);
     }
 
-    /** @return the window of the n slots dispatched most recently
-     * (used for prediction at dispatch). */
-    ValueWindow
-    windowAtDispatch() const
+    /** Fill @p w with the n slots dispatched most recently (used for
+     * prediction at dispatch). */
+    void
+    windowAtDispatch(ValueWindow &w) const
     {
-        return windowEndingAt(hist.totalPushes());
+        windowEndingAt(hist.totalPushes(), w);
     }
 
     /**
-     * @return the window of the n slots that immediately precede the
-     * given slot (used for table training at writeback).
+     * Fill @p w with the n slots that immediately precede the given
+     * slot (used for table training at writeback).
      */
-    ValueWindow
-    windowBeforeSlot(uint64_t slot) const
+    void
+    windowBeforeSlot(uint64_t slot, ValueWindow &w) const
     {
-        return windowEndingAt(slot);
+        windowEndingAt(slot, w);
     }
 
     /** @return the configured window size n. */
@@ -195,23 +198,20 @@ class HybridGvq
 
   private:
     /** Window of the `order` slots before absolute position `end`
-     * (exclusive). Slots that have left the ring are dropped. */
-    ValueWindow
-    windowEndingAt(uint64_t end) const
+     * (exclusive). The window stops at the beginning of time and at
+     * slots that have left the ring. */
+    void
+    windowEndingAt(uint64_t end, ValueWindow &w) const
     {
-        ValueWindow w;
         uint64_t newest = hist.totalPushes();
         GDIFF_ASSERT(end <= newest, "window past the queue head");
-        for (unsigned k = 0; k < order_; ++k) {
-            if (end < static_cast<uint64_t>(k) + 1)
-                break; // ran off the beginning of time
-            uint64_t want = end - 1 - k; // absolute slot index
-            uint64_t age = newest - 1 - want;
-            if (age >= hist.size())
-                break; // slot already evicted from the ring
-            w.values[w.count++] = hist[static_cast<size_t>(age)];
-        }
-        return w;
+        // values[k] is slot end-1-k, whose age is first + k.
+        uint64_t first = newest - end;
+        uint64_t n = first < hist.size() ? hist.size() - first : 0;
+        n = std::min<uint64_t>({n, end, order_});
+        w.count = static_cast<unsigned>(n);
+        hist.copyAges(static_cast<size_t>(first), w.count,
+                      w.values.data());
     }
 
     unsigned order_;

@@ -4,8 +4,10 @@
 #include <cinttypes>
 #include <deque>
 #include <memory>
+#include <unordered_map>
 
 #include "obs/obs.hh"
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace gdiff {
@@ -24,7 +26,9 @@ constexpr size_t issueRingSize = 1 << 16;
 OooPipeline::OooPipeline(const PipelineConfig &config, VpScheme &s)
     : cfg(config), scheme(s), bpred(config), icache(config.icache),
       dcache(config.dcache), issueCount(issueRingSize, 0),
-      issueTag(issueRingSize, ~uint64_t(0))
+      issueTag(issueRingSize, ~uint64_t(0)),
+      pendingPayload(nextPow2(config.robSize)),
+      pendingMask(pendingPayload.size() - 1)
 {
 }
 
@@ -35,8 +39,9 @@ OooPipeline::drainWritebacksBefore(uint64_t cycle, PipelineStats &stats)
     // one batched call (schemes wrapping batch-capable predictors
     // update chunk-at-a-time).
     drainScratch.clear();
-    while (!pending.empty() && pending.top().completeCycle < cycle) {
-        const PendingWriteback wb = pending.top();
+    while (!pending.empty() && pending.top().first < cycle) {
+        const PendingWriteback &wb =
+            pendingPayload[pending.top().second & pendingMask];
         pending.pop();
         ++producerWritebacks;
         if (wb.measured) {
@@ -88,8 +93,10 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
     // Store-to-load dependence through memory.
     std::unordered_map<uint64_t, uint64_t> memReady;
 
-    // ROB occupancy: retire cycles of the last robSize instructions.
-    std::vector<uint64_t> robRetire(cfg.robSize, 0);
+    // ROB occupancy: retire cycles of the last robSize instructions,
+    // in a ring of nextPow2(robSize) slots indexed by seq & robMask.
+    std::vector<uint64_t> robRetire(nextPow2(cfg.robSize), 0);
+    const uint64_t robMask = robRetire.size() - 1;
 
     uint64_t front_cycle = 1;       // front-end dispatch cursor
     unsigned dispatched_in_cycle = 0;
@@ -187,8 +194,9 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
         }
 
         // ---- dispatch (ROB backpressure) -------------------------------
-        uint64_t rob_free =
-            robRetire[seq % cfg.robSize]; // retire of (seq - robSize)
+        uint64_t rob_free = seq >= cfg.robSize
+                                ? robRetire[(seq - cfg.robSize) & robMask]
+                                : 0;
         uint64_t dispatch_cycle =
             std::max(front_cycle + cfg.frontendDepth, rob_free);
         if (dispatch_cycle > front_cycle + cfg.frontendDepth) {
@@ -352,7 +360,7 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
             retired_in_cycle = 0;
         }
         ++retired_in_cycle;
-        robRetire[seq % cfg.robSize] = retire_cycle;
+        robRetire[seq & robMask] = retire_cycle;
 
         if (chk.enabled) {
             if (retire_cycle < chkPrevRetire) {
@@ -388,15 +396,21 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
 
         // ---- predictor writeback event ------------------------------------
         if (produces) {
-            PendingWriteback wb;
-            wb.completeCycle = complete_cycle;
-            wb.seq = seq;
+            PendingWriteback &wb = pendingPayload[seq & pendingMask];
             wb.pc = r.pc;
             wb.value = r.value;
             wb.decision = decision;
             wb.producedAtDispatch = producerWritebacks;
             wb.measured = measure;
-            pending.push(wb);
+            pending.push({complete_cycle, seq});
+            if (chk.enabled && pending.size() > cfg.robSize) {
+                // The payload ring holds nextPow2(robSize) slots and
+                // relies on the ROB bounding the in-flight producers.
+                violate(formatString(
+                    "%zu pending writebacks exceed the %u-entry ROB "
+                    "(seq %" PRIu64 ")",
+                    pending.size(), cfg.robSize, seq));
+            }
         }
 
         // ---- statistics ------------------------------------------------------

@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <queue>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -124,26 +124,20 @@ class OooPipeline
                       uint64_t functionalWarmup = 0);
 
   private:
+    /** A producer's writeback, held from dispatch until it drains. */
     struct PendingWriteback
     {
-        uint64_t completeCycle = 0;
-        uint64_t seq = 0;
         uint64_t pc = 0;
         int64_t value = 0;
         VpDecision decision;
         uint64_t producedAtDispatch = 0;
         bool measured = false;
-
-        bool
-        operator>(const PendingWriteback &o) const
-        {
-            // Completion-time order; sequence breaks ties so equal-
-            // cycle writebacks drain in program order.
-            return completeCycle != o.completeCycle
-                       ? completeCycle > o.completeCycle
-                       : seq > o.seq;
-        }
     };
+
+    /// (completeCycle, seq): completion-time order, with the sequence
+    /// number breaking ties so equal-cycle writebacks drain in
+    /// program order
+    using PendingKey = std::pair<uint64_t, uint64_t>;
 
     /** Apply all pending writebacks strictly before the cycle. */
     void drainWritebacksBefore(uint64_t cycle, PipelineStats &stats);
@@ -162,10 +156,15 @@ class OooPipeline
     std::vector<uint32_t> issueCount;
     std::vector<uint64_t> issueTag;
 
-    std::priority_queue<PendingWriteback,
-                        std::vector<PendingWriteback>,
-                        std::greater<PendingWriteback>>
+    /// Pending writebacks: a min-heap of small keys, with each
+    /// payload at index seq & pendingMask of a ring of
+    /// nextPow2(robSize) slots. At most robSize producers are ever in
+    /// flight (INTERNALS §2), so a live payload is never overwritten.
+    std::priority_queue<PendingKey, std::vector<PendingKey>,
+                        std::greater<PendingKey>>
         pending;
+    std::vector<PendingWriteback> pendingPayload;
+    size_t pendingMask;
 
     std::vector<WritebackItem> drainScratch; ///< batched drain run
 

@@ -14,7 +14,7 @@ VpDecision
 VpScheme::predictAtDispatch(uint64_t pc)
 {
     VpDecision d;
-    uint32_t &outstanding = inflight[pc];
+    uint32_t &outstanding = inflight.lookup(pc);
     d.predicted = doPredict(pc, outstanding, d.value, d.token);
     d.confident = d.predicted && conf.confident(pc);
     cov.record(d.confident);
@@ -25,9 +25,8 @@ VpScheme::predictAtDispatch(uint64_t pc)
 void
 VpScheme::writeback(uint64_t pc, const VpDecision &d, int64_t actual)
 {
-    auto it = inflight.find(pc);
-    if (it != inflight.end() && it->second > 0)
-        --it->second;
+    if (uint32_t &outstanding = inflight.lookup(pc); outstanding > 0)
+        --outstanding;
     if (d.predicted) {
         bool correct = (d.value == actual);
         accRaw.record(correct);
@@ -48,9 +47,9 @@ VpScheme::writebackBatch(const WritebackItem *items, uint32_t n)
     // scalar order.
     for (uint32_t l = 0; l < n; ++l) {
         const WritebackItem &it = items[l];
-        auto inf = inflight.find(it.pc);
-        if (inf != inflight.end() && inf->second > 0)
-            --inf->second;
+        if (uint32_t &outstanding = inflight.lookup(it.pc);
+            outstanding > 0)
+            --outstanding;
         if (it.decision.predicted) {
             bool correct = (it.decision.value == it.actual);
             accRaw.record(correct);
@@ -117,7 +116,8 @@ SgvqScheme::doPredict(uint64_t pc, unsigned, int64_t &value,
                       uint64_t &token)
 {
     token = 0;
-    return gd.predictWithWindow(pc, queue.visibleWindow(), value);
+    queue.visibleWindow(window);
+    return gd.predictWithWindow(pc, window, value);
 }
 
 void
@@ -126,7 +126,8 @@ SgvqScheme::doWriteback(uint64_t pc, const VpDecision &, int64_t actual)
     // Writebacks arrive in completion order: the queue sees the
     // execution-order value sequence, with all its cache-miss-induced
     // variation (the paper's §4 problem).
-    gd.trainWithWindow(pc, queue.visibleWindow(), actual);
+    queue.visibleWindow(window);
+    gd.trainWithWindow(pc, window, actual);
     queue.push(actual);
 }
 
@@ -137,7 +138,7 @@ HgvqScheme::HgvqScheme(const core::GDiffConfig &gdiff_cfg,
                        const predictors::ConfidenceConfig &conf_cfg)
     : VpScheme(conf_cfg), gd(gdiff_cfg),
       queue(gdiff_cfg.order,
-            static_cast<size_t>(gdiff_cfg.order) + 256),
+            static_cast<size_t>(gdiff_cfg.order) + maxInFlight),
       localStride(local_entries)
 {
 }
@@ -150,8 +151,8 @@ HgvqScheme::doPredict(uint64_t pc, unsigned ahead, int64_t &value,
 
     // gdiff candidate: from the dispatch-ordered window, *before*
     // pushing this instruction's own slot.
-    c.haveGdiff =
-        gd.predictWithWindow(pc, queue.windowAtDispatch(), c.gdiffValue);
+    queue.windowAtDispatch(window);
+    c.haveGdiff = gd.predictWithWindow(pc, window, c.gdiffValue);
 
     // Local-stride candidate (in-flight-compensated): fills this
     // instruction's queue slot (overwritten with the real result at
@@ -161,7 +162,16 @@ HgvqScheme::doPredict(uint64_t pc, unsigned ahead, int64_t &value,
         localStride.predictAhead(pc, ahead, c.fillerValue);
 
     token = queue.pushSpeculative(c.haveFiller ? c.fillerValue : 0);
-    inFlightCandidates.emplace(token, c);
+    c.token = token;
+    c.live = true;
+    Candidates &slot = inFlight[token & (maxInFlight - 1)];
+    GDIFF_ASSERT(!slot.live,
+                 "HGVQ slot %llu dispatched while slot %llu is still in "
+                 "flight: more than %zu producers in flight",
+                 static_cast<unsigned long long>(token),
+                 static_cast<unsigned long long>(slot.token),
+                 maxInFlight);
+    slot = c;
 
     // Per-PC component choice: take the candidate whose component
     // confidence is currently higher (gdiff wins ties — it is the
@@ -185,17 +195,17 @@ HgvqScheme::doWriteback(uint64_t pc, const VpDecision &d, int64_t actual)
     queue.commitSlot(d.token, actual);
     // Train against the dispatch-ordered window anchored at this
     // instruction's own slot: execution variation cannot perturb it.
-    gd.trainWithWindow(pc, queue.windowBeforeSlot(d.token), actual);
+    queue.windowBeforeSlot(d.token, window);
+    gd.trainWithWindow(pc, window, actual);
     localStride.update(pc, actual);
 
-    auto it = inFlightCandidates.find(d.token);
-    if (it != inFlightCandidates.end()) {
-        const Candidates &c = it->second;
+    Candidates &c = inFlight[d.token & (maxInFlight - 1)];
+    if (c.live && c.token == d.token) {
         if (c.haveGdiff)
             gdiffConf.train(pc, c.gdiffValue == actual);
         if (c.haveFiller)
             fillerConf.train(pc, c.fillerValue == actual);
-        inFlightCandidates.erase(it);
+        c.live = false;
     }
 }
 

@@ -24,10 +24,10 @@
 #ifndef GDIFF_PIPELINE_VP_SCHEME_HH
 #define GDIFF_PIPELINE_VP_SCHEME_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "core/gdiff.hh"
 #include "core/gvq.hh"
@@ -35,6 +35,7 @@
 #include "predictors/stride.hh"
 #include "predictors/value_predictor.hh"
 #include "stats/counter.hh"
+#include "util/bits.hh"
 
 namespace gdiff {
 namespace pipeline {
@@ -122,7 +123,8 @@ class VpScheme
 
   private:
     predictors::ConfidenceTable conf;
-    std::unordered_map<uint64_t, uint32_t> inflight;
+    /// per-PC count of dispatched, not yet written back instances
+    predictors::PcIndexedTable<uint32_t> inflight;
     stats::Ratio cov;
     stats::Ratio accGated;
     stats::Ratio accRaw;
@@ -191,6 +193,7 @@ class SgvqScheme : public VpScheme
   private:
     core::GDiffPredictor gd;
     core::GlobalValueQueue queue;
+    core::ValueWindow window; ///< refilled per query
 };
 
 /**
@@ -219,6 +222,15 @@ class HgvqScheme : public VpScheme
 
     std::string name() const override { return "gdiff(HGVQ)"; }
 
+    /**
+     * Producers the scheme can hold in flight at once: the HGVQ ring
+     * keeps this many slots beyond the window, and the candidate ring
+     * has this many entries. The timing model keeps at most robSize
+     * producers in flight (INTERNALS §2), so robSize must not exceed
+     * it.
+     */
+    static constexpr size_t maxInFlight = 256;
+
   protected:
     bool doPredict(uint64_t pc, unsigned ahead, int64_t &value,
                    uint64_t &token) override;
@@ -226,15 +238,21 @@ class HgvqScheme : public VpScheme
                      int64_t actual) override;
 
   private:
-    /** Both candidate predictions captured at dispatch, keyed by the
-     * HGVQ slot id, so each component trains on its own outcome. */
+    /** Both candidate predictions captured at dispatch for the
+     * instruction holding HGVQ slot `token`, so each component trains
+     * on its own outcome. */
     struct Candidates
     {
+        uint64_t token = 0;
         int64_t gdiffValue = 0;
         int64_t fillerValue = 0;
         bool haveGdiff = false;
         bool haveFiller = false;
+        bool live = false; ///< dispatched, not yet written back
     };
+
+    static_assert(isPowerOfTwo(maxInFlight),
+                  "the candidate ring is indexed by token & mask");
 
     core::GDiffPredictor gd;
     core::HybridGvq queue;
@@ -242,7 +260,9 @@ class HgvqScheme : public VpScheme
     /// per-component selection confidence (the hybrid chooser)
     predictors::ConfidenceTable gdiffConf;
     predictors::ConfidenceTable fillerConf;
-    std::unordered_map<uint64_t, Candidates> inFlightCandidates;
+    /// in-flight candidates, at index token & (maxInFlight - 1)
+    std::array<Candidates, maxInFlight> inFlight;
+    core::ValueWindow window; ///< refilled per query
 };
 
 } // namespace pipeline

@@ -3,18 +3,26 @@
  * PC-indexed prediction-table storage shared by the predictors.
  *
  * Two modes, selected by the entry count:
- *  - entries == 0: "unlimited" — one entry per static PC (hash map),
- *    used for the paper's idealised profile experiments;
+ *  - entries == 0: "unlimited" — one entry per static PC, used for the
+ *    paper's idealised profile experiments. Entries live in a deque
+ *    (appending never moves them) and a flat open-addressing index
+ *    maps each PC to its entry;
  *  - entries == 2^k: a tagless direct-mapped table indexed by PC bits,
  *    the hardware-realistic mode. Aliasing is tracked (paper Fig. 9)
  *    by remembering the last PC that touched each entry.
+ *
+ * In both modes an entry never moves once allocated: a reference
+ * returned by lookup() or probe() stays valid, and keeps naming the
+ * same PC's state, across any number of later lookups, including
+ * ones that grow the unlimited index. The batch loops of fcm.cc hold
+ * several entry pointers across lookups and rely on this.
  */
 
 #ifndef GDIFF_PREDICTORS_TABLE_HH
 #define GDIFF_PREDICTORS_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "util/bits.hh"
@@ -45,23 +53,33 @@ class PcIndexedTable
                          "table size %zu is not a power of two", limit);
             table.resize(limit);
             owners.assign(limit, 0);
+        } else {
+            index.resize(minIndexCells);
         }
     }
+
+    // The unlimited index points into `slots`: a copy would alias the
+    // source's entries. A move keeps them valid, since std::deque
+    // hands its storage over.
+    PcIndexedTable(const PcIndexedTable &) = delete;
+    PcIndexedTable &operator=(const PcIndexedTable &) = delete;
+    PcIndexedTable(PcIndexedTable &&) = default;
+    PcIndexedTable &operator=(PcIndexedTable &&) = default;
 
     /**
      * Locate the entry for @p pc (allocating in unlimited mode).
      * In limited mode, notes whether a different PC owned the entry
      * (an aliasing conflict) and takes ownership.
      *
-     * @return reference to the entry (invalidated by later lookups in
-     * unlimited mode).
+     * @return reference to the entry; it stays valid for the
+     * table's lifetime (see the file comment).
      */
     Entry &
     lookup(uint64_t pc)
     {
         ++lookupCount;
         if (limit == 0)
-            return mapped[pc];
+            return findOrInsert(pc);
         size_t idx = indexOf(pc);
         if (owners[idx] != 0 && owners[idx] != pc)
             ++conflictCount;
@@ -77,10 +95,8 @@ class PcIndexedTable
     const Entry *
     probe(uint64_t pc) const
     {
-        if (limit == 0) {
-            auto it = mapped.find(pc);
-            return it == mapped.end() ? nullptr : &it->second;
-        }
+        if (limit == 0)
+            return index[cellOf(pc)].entry;
         return &table[indexOf(pc)];
     }
 
@@ -121,6 +137,60 @@ class PcIndexedTable
     }
 
   private:
+    /** One unlimited-mode index cell; entry == nullptr marks it free. */
+    struct Cell
+    {
+        uint64_t pc = 0;
+        Entry *entry = nullptr;
+    };
+
+    static constexpr size_t minIndexCells = 64;
+
+    /** @return the index of the cell holding @p pc, or of the free
+     * cell that ends its probe sequence (linear probing; the index is
+     * never full). */
+    size_t
+    cellOf(uint64_t pc) const
+    {
+        // Fibonacci hashing: the top bits of pc * 2^64/phi spread the
+        // 4-byte-aligned, clustered PCs of a program evenly.
+        const size_t cellMask = index.size() - 1;
+        size_t i = static_cast<size_t>(
+            (pc * 0x9e3779b97f4a7c15ull) >> indexShift);
+        while (index[i].entry && index[i].pc != pc)
+            i = (i + 1) & cellMask;
+        return i;
+    }
+
+    Entry &
+    findOrInsert(uint64_t pc)
+    {
+        size_t i = cellOf(pc);
+        if (index[i].entry)
+            return *index[i].entry;
+        // Keep the load factor at or below 1/2.
+        if (2 * (slots.size() + 1) > index.size()) {
+            grow();
+            i = cellOf(pc);
+        }
+        slots.emplace_back();
+        index[i] = {pc, &slots.back()};
+        return slots.back();
+    }
+
+    /** Double the index; entries stay where they are in `slots`. */
+    void
+    grow()
+    {
+        std::vector<Cell> old(index.size() * 2);
+        old.swap(index);
+        --indexShift;
+        for (const Cell &c : old) {
+            if (c.entry)
+                index[cellOf(c.pc)] = c;
+        }
+    }
+
     size_t
     indexOf(uint64_t pc) const
     {
@@ -134,7 +204,9 @@ class PcIndexedTable
     bool hashIndex;
     std::vector<Entry> table;
     std::vector<uint64_t> owners;
-    std::unordered_map<uint64_t, Entry> mapped;
+    std::deque<Entry> slots; ///< unlimited: entries, allocation order
+    std::vector<Cell> index; ///< unlimited: PC -> entry, 2^k cells
+    unsigned indexShift = 64 - floorLog2(minIndexCells);
     uint64_t conflictCount = 0;
     uint64_t lookupCount = 0;
 };

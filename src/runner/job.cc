@@ -2,7 +2,12 @@
 
 #include <sstream>
 
+#include "core/gdiff2.hh"
+#include "core/gvq.hh"
+#include "runner/factory.hh"
+#include "util/bits.hh"
 #include "util/logging.hh"
+#include "workload/workload.hh"
 
 namespace gdiff {
 namespace runner {
@@ -40,6 +45,33 @@ JobSpec::validateOr(std::string *error) const
             *error = std::move(msg);
         return false;
     };
+    // Names first: makeWorkload and the factories fatal() on unknown
+    // names, so no spec that fails here may reach a worker.
+    if (!workload::knownWorkload(workload))
+        return fail("job " + label() + ": unknown workload '" +
+                    workload + "'");
+    if (mode == JobMode::Profile && !knownPredictor(predictor))
+        return fail("job " + label() + ": unknown predictor '" +
+                    predictor + "'");
+    if (mode == JobMode::Pipeline && !knownScheme(scheme))
+        return fail("job " + label() + ": unknown scheme '" + scheme +
+                    "'");
+    const bool gdiff2 = mode == JobMode::Profile && predictor == "gdiff2";
+    const unsigned minOrder = gdiff2 ? core::gdiff2MinOrder : 1;
+    const unsigned maxOrder = gdiff2 ? core::gdiff2MaxOrder
+                                     : core::maxOrder;
+    if (order < minOrder || order > maxOrder) {
+        std::ostringstream os;
+        os << "job " << label() << ": order " << order
+           << " is out of range " << minOrder << ".." << maxOrder;
+        return fail(os.str());
+    }
+    if (tableEntries != 0 && !isPowerOfTwo(tableEntries)) {
+        std::ostringstream os;
+        os << "job " << label() << ": table size " << tableEntries
+           << " is neither 0 (unlimited) nor a power of two";
+        return fail(os.str());
+    }
     if (instructions == 0) {
         return fail("job " + label() +
                     ": instructions must be > 0 (nothing would be "
@@ -73,6 +105,15 @@ JobSpec::validateOr(std::string *error) const
             return fail(os.str());
         }
     }
+    return true;
+}
+
+bool
+validateJobs(const std::vector<JobSpec> &jobs, std::string *error)
+{
+    for (const JobSpec &job : jobs)
+        if (!job.validateOr(error))
+            return false;
     return true;
 }
 

@@ -69,12 +69,15 @@ struct JobSpec
     bool sampled() const { return sampleBudget != 0; }
 
     /**
-     * Reject run lengths that would measure nothing: instructions ==
-     * 0 or warmup >= instructions — and, when sampling, degenerate
-     * window geometry (zero-length windows, a window longer than the
-     * measured region, a budget too small for even one window).
-     * Calls fatal() naming the job. runJob() validates every spec
-     * before executing it.
+     * Reject every spec runJob() could not run to completion: an
+     * unknown workload, predictor or scheme name; a gdiff order
+     * outside 1..core::maxOrder (2..16 for gdiff2); a table size that
+     * is neither 0 nor a power of two; run lengths that would measure
+     * nothing (instructions == 0 or warmup >= instructions); and,
+     * when sampling, degenerate window geometry (zero-length windows,
+     * a window longer than the measured region, a budget too small
+     * for even one window). Calls fatal() naming the job. runJob()
+     * validates every spec before executing it.
      */
     void validate() const;
 
@@ -98,6 +101,14 @@ struct JobSpec
      * "mcf/gdiff[o=8,s=1]". */
     std::string label() const;
 };
+
+/**
+ * Validate a whole sweep before any of it runs (gdiffrun before it
+ * starts the pool, gdiffd before it admits a submission).
+ * @return true when every job passes JobSpec::validateOr; otherwise
+ * false with @p error (if non-null) describing the first bad job.
+ */
+bool validateJobs(const std::vector<JobSpec> &jobs, std::string *error);
 
 /**
  * Outcome of one job: named metrics plus run metadata.

@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "obs/obs.hh"
-#include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "runner/sweep_spec.hh"
 #include "serve/protocol.hh"
@@ -26,7 +25,6 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
-#include "workload/workload.hh"
 
 namespace gdiff {
 namespace serve {
@@ -415,33 +413,12 @@ struct Daemon::Impl
         }
 
         std::vector<runner::JobSpec> jobs = spec.expand();
-        // Admission never hands a spec to a worker that runJob could
-        // fatal() on: the factories and makeWorkload abort the
-        // process on unknown names, so membership is checked here
-        // where a polite error frame is still possible.
-        for (const auto &job : jobs) {
-            std::string jobError;
-            if (!workload::knownWorkload(job.workload)) {
-                sendTo(*conn, errorMessage("unknown workload '" +
-                                           job.workload + "'"));
-                return;
-            }
-            if (job.mode == runner::JobMode::Profile &&
-                !runner::knownPredictor(job.predictor)) {
-                sendTo(*conn, errorMessage("unknown predictor '" +
-                                           job.predictor + "'"));
-                return;
-            }
-            if (job.mode == runner::JobMode::Pipeline &&
-                !runner::knownScheme(job.scheme)) {
-                sendTo(*conn, errorMessage("unknown scheme '" +
-                                           job.scheme + "'"));
-                return;
-            }
-            if (!job.validateOr(&jobError)) {
-                sendTo(*conn, errorMessage(jobError));
-                return;
-            }
+        // Admission never hands a worker a spec that runJob could
+        // fatal() on: rejecting it here is still a polite error frame.
+        if (std::string jobError;
+            !runner::validateJobs(jobs, &jobError)) {
+            sendTo(*conn, errorMessage(jobError));
+            return;
         }
 
         std::string client = "anon";

@@ -35,6 +35,13 @@ ceilLog2(uint64_t x)
     return isPowerOfTwo(x) ? floorLog2(x) : floorLog2(x) + 1;
 }
 
+/** @return the smallest power of two >= x (1 for x == 0). */
+constexpr uint64_t
+nextPow2(uint64_t x)
+{
+    return x <= 1 ? 1 : uint64_t(1) << ceilLog2(x);
+}
+
 /** @return a mask with the low `bits` bits set. */
 constexpr uint64_t
 mask(unsigned bits)

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bits.hh"
 #include "logging.hh"
 
 namespace gdiff {
@@ -25,6 +26,10 @@ namespace gdiff {
  * ago (0 = newest). Until the buffer fills, out-of-range entries read
  * as value-initialised T (matching hardware tables that power up
  * zeroed).
+ *
+ * Storage is rounded up to a power of two so that slot arithmetic is
+ * a mask, not a modulo; the logical capacity (what size() saturates
+ * at and what capacity() reports) is the one requested.
  */
 template <typename T>
 class RingHistory
@@ -32,7 +37,8 @@ class RingHistory
   public:
     /** @param capacity maximum number of retained elements (> 0). */
     explicit RingHistory(size_t capacity)
-        : buf(capacity), head(0), count(0)
+        : buf(nextPow2(capacity)), slotMask(buf.size() - 1),
+          cap(capacity), head(0), count(0)
     {
         GDIFF_ASSERT(capacity > 0, "RingHistory needs capacity > 0");
     }
@@ -41,9 +47,9 @@ class RingHistory
     void
     push(const T &v)
     {
-        head = (head + 1) % buf.size();
+        head = (head + 1) & slotMask;
         buf[head] = v;
-        if (count < buf.size())
+        if (count < cap)
             ++count;
         ++pushes;
     }
@@ -58,8 +64,19 @@ class RingHistory
     {
         if (k >= count)
             return T();
-        size_t idx = (head + buf.size() - k) % buf.size();
-        return buf[idx];
+        return buf[(head - k) & slotMask];
+    }
+
+    /**
+     * Copy the n elements of ages from .. from+n-1 to dst[0, n),
+     * newest first. All of them must be retained: from + n <= size().
+     */
+    void
+    copyAges(size_t from, size_t n, T *dst) const
+    {
+        const size_t top = head - from;
+        for (size_t k = 0; k < n; ++k)
+            dst[k] = buf[(top - k) & slotMask];
     }
 
     /**
@@ -77,8 +94,7 @@ class RingHistory
     {
         if (k >= count)
             return false;
-        size_t idx = (head + buf.size() - k) % buf.size();
-        buf[idx] = v;
+        buf[(head - k) & slotMask] = v;
         return true;
     }
 
@@ -86,7 +102,7 @@ class RingHistory
     size_t size() const { return count; }
 
     /** @return the fixed capacity. */
-    size_t capacity() const { return buf.size(); }
+    size_t capacity() const { return cap; }
 
     /** @return true if no element has been pushed yet. */
     bool empty() const { return count == 0; }
@@ -106,7 +122,9 @@ class RingHistory
     }
 
   private:
-    std::vector<T> buf;
+    std::vector<T> buf; ///< nextPow2(cap) slots
+    size_t slotMask;
+    size_t cap;
     size_t head;
     size_t count;
     uint64_t pushes = 0;

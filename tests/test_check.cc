@@ -362,6 +362,44 @@ TEST(PipelineInvariantTest, KernelWorkloadHoldsInvariants)
                                        : stats.checkReports.front());
 }
 
+// The pending-writeback payload ring (nextPow2(robSize) slots) and
+// the HGVQ candidate ring rely on at most robSize producers being in
+// flight; the checker counts a violation whenever more are pending.
+// Non-power-of-two ROB sizes make the payload ring larger than the
+// bound, 256 makes the candidate ring exactly as large as it.
+TEST(PipelineInvariantTest, InFlightBoundHoldsAcrossRobSizes)
+{
+    std::vector<std::pair<std::string, workload::Workload>> sources;
+    sources.emplace_back("mcf", workload::makeWorkload("mcf", 1));
+    for (uint64_t seed : {1, 3}) {
+        FuzzProgramConfig pcfg;
+        pcfg.seed = seed;
+        sources.emplace_back("fuzz" + std::to_string(seed),
+                             fuzzProgram(pcfg));
+    }
+    for (unsigned rob : {48u, 100u, 256u}) {
+        for (const char *scheme_name : {"sgvq", "hgvq"}) {
+            for (const auto &[name, w] : sources) {
+                SCOPED_TRACE(name + " " + scheme_name + " rob " +
+                             std::to_string(rob));
+                auto scheme = runner::makeScheme(scheme_name, 32, 0);
+                pipeline::PipelineConfig cfg;
+                cfg.robSize = rob;
+                cfg.check.enabled = true;
+                pipeline::OooPipeline pipe(cfg, *scheme);
+                auto exec = w.makeExecutor();
+                pipeline::PipelineStats stats =
+                    pipe.run(*exec, 60'000);
+                EXPECT_GT(stats.instructions, 0u);
+                EXPECT_EQ(stats.checkViolations, 0u)
+                    << (stats.checkReports.empty()
+                            ? "(no report)"
+                            : stats.checkReports.front());
+            }
+        }
+    }
+}
+
 TEST(PipelineInvariantTest, DisabledCheckingReportsNothing)
 {
     FuzzProgramConfig pcfg;

@@ -18,7 +18,8 @@ TEST(Gvq, WindowIsMostRecentFirst)
     q.push(10);
     q.push(20);
     q.push(30);
-    ValueWindow w = q.visibleWindow();
+    ValueWindow w;
+    q.visibleWindow(w);
     ASSERT_EQ(w.count, 3u);
     EXPECT_EQ(w.values[0], 30);
     EXPECT_EQ(w.values[1], 20);
@@ -30,7 +31,8 @@ TEST(Gvq, WindowCapsAtOrder)
     GlobalValueQueue q(2);
     for (int i = 1; i <= 5; ++i)
         q.push(i);
-    ValueWindow w = q.visibleWindow();
+    ValueWindow w;
+    q.visibleWindow(w);
     ASSERT_EQ(w.count, 2u);
     EXPECT_EQ(w.values[0], 5);
     EXPECT_EQ(w.values[1], 4);
@@ -42,7 +44,8 @@ TEST(Gvq, DelayHidesNewestValues)
     GlobalValueQueue q(3, 2);
     for (int i = 1; i <= 6; ++i)
         q.push(i);
-    ValueWindow w = q.visibleWindow();
+    ValueWindow w;
+    q.visibleWindow(w);
     ASSERT_EQ(w.count, 3u);
     EXPECT_EQ(w.values[0], 4); // age 3
     EXPECT_EQ(w.values[1], 3);
@@ -54,9 +57,11 @@ TEST(Gvq, DelayedWindowEmptyUntilEnoughHistory)
     GlobalValueQueue q(3, 2);
     q.push(1);
     q.push(2);
-    EXPECT_EQ(q.visibleWindow().count, 0u);
+    ValueWindow w;
+    q.visibleWindow(w);
+    EXPECT_EQ(w.count, 0u);
     q.push(3);
-    ValueWindow w = q.visibleWindow();
+    q.visibleWindow(w);
     ASSERT_EQ(w.count, 1u);
     EXPECT_EQ(w.values[0], 1);
 }
@@ -66,7 +71,9 @@ TEST(Gvq, ClearForgets)
     GlobalValueQueue q(2);
     q.push(1);
     q.clear();
-    EXPECT_EQ(q.visibleWindow().count, 0u);
+    ValueWindow w;
+    q.visibleWindow(w);
+    EXPECT_EQ(w.count, 0u);
 }
 
 TEST(GvqDeath, OrderOutOfRange)
@@ -90,7 +97,8 @@ TEST(HybridGvq, DispatchWindowSeesSpeculativeValues)
     HybridGvq h(4, 16);
     h.pushSpeculative(100);
     h.pushSpeculative(200);
-    ValueWindow w = h.windowAtDispatch();
+    ValueWindow w;
+    h.windowAtDispatch(w);
     ASSERT_EQ(w.count, 2u);
     EXPECT_EQ(w.values[0], 200);
     EXPECT_EQ(w.values[1], 100);
@@ -102,7 +110,8 @@ TEST(HybridGvq, CommitOverwritesSlot)
     uint64_t s0 = h.pushSpeculative(100);
     h.pushSpeculative(200);
     h.commitSlot(s0, 111); // real value arrives at writeback
-    ValueWindow w = h.windowAtDispatch();
+    ValueWindow w;
+    h.windowAtDispatch(w);
     EXPECT_EQ(w.values[1], 111);
     EXPECT_EQ(w.values[0], 200); // untouched speculative slot
 }
@@ -117,7 +126,8 @@ TEST(HybridGvq, WindowBeforeSlotAnchorsInDispatchOrder)
 
     // The training window of slot 2 must see slots 1 and 0 — never
     // slot 3, which dispatched after it.
-    ValueWindow w = h.windowBeforeSlot(s2);
+    ValueWindow w;
+    h.windowBeforeSlot(s2, w);
     ASSERT_EQ(w.count, 2u);
     EXPECT_EQ(w.values[0], 20);
     EXPECT_EQ(w.values[1], 10);
@@ -129,7 +139,8 @@ TEST(HybridGvq, WindowBeforeSlotSeesCommittedValues)
     uint64_t s0 = h.pushSpeculative(10);
     uint64_t s1 = h.pushSpeculative(20);
     h.commitSlot(s0, 11); // slot 0's real result arrives first
-    ValueWindow w = h.windowBeforeSlot(s1);
+    ValueWindow w;
+    h.windowBeforeSlot(s1, w);
     ASSERT_EQ(w.count, 1u);
     EXPECT_EQ(w.values[0], 11);
 }
@@ -141,7 +152,8 @@ TEST(HybridGvq, EvictedSlotsDropFromWindows)
         h.pushSpeculative(i * 10);
     // Slots 0..3 have been evicted; a window anchored at slot 5 can
     // only reach slots 4 (value 40): slots 3,2 are gone.
-    ValueWindow w = h.windowBeforeSlot(5);
+    ValueWindow w;
+    h.windowBeforeSlot(5, w);
     ASSERT_EQ(w.count, 1u);
     EXPECT_EQ(w.values[0], 40);
 }
@@ -153,7 +165,8 @@ TEST(HybridGvq, CommitOfEvictedSlotIsSilentlyDropped)
     h.pushSpeculative(2);
     h.pushSpeculative(3); // evicts slot 0
     h.commitSlot(s0, 99); // must not crash or corrupt
-    ValueWindow w = h.windowAtDispatch();
+    ValueWindow w;
+    h.windowAtDispatch(w);
     EXPECT_EQ(w.values[0], 3);
     EXPECT_EQ(w.values[1], 2);
 }

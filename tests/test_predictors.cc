@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "predictors/confidence.hh"
 #include "predictors/fcm.hh"
 #include "predictors/last_value.hh"
@@ -13,6 +16,7 @@
 #include "predictors/pi.hh"
 #include "predictors/stride.hh"
 #include "predictors/table.hh"
+#include "util/random.hh"
 
 namespace gdiff {
 namespace predictors {
@@ -292,6 +296,62 @@ TEST(Table, UnlimitedProbeMissingReturnsNull)
 {
     PcIndexedTable<int> t(0);
     EXPECT_EQ(t.probe(0x1234), nullptr);
+}
+
+// Unlimited mode against a std::unordered_map model, over enough
+// distinct PCs to grow the index several times. References taken
+// before a growth must keep naming the same PC's entry after it.
+TEST(Table, UnlimitedModeMatchesMapModelThroughGrowth)
+{
+    PcIndexedTable<int64_t> t(0);
+    std::unordered_map<uint64_t, int64_t> model;
+    Xorshift64Star rng(17);
+
+    // Early references, checked again after every growth.
+    std::vector<std::pair<uint64_t, int64_t *>> early;
+    for (uint64_t i = 0; i < 8; ++i) {
+        uint64_t pc = 0x400000 + 4 * i;
+        int64_t &e = t.lookup(pc);
+        e = static_cast<int64_t>(i) + 1;
+        model[pc] = e;
+        early.emplace_back(pc, &e);
+    }
+
+    for (int step = 0; step < 40000; ++step) {
+        // Clustered, 4-byte-aligned PCs (like a program's) plus the
+        // odd far-away and unaligned one; about 6000 distinct keys.
+        uint64_t r = rng.next();
+        uint64_t pc = (r & 7) == 0 ? rng.next() % 100000
+                                   : 0x400000 + 4 * (r % 6000);
+        if ((r >> 40) % 3 == 0) {
+            const int64_t *got = t.probe(pc);
+            auto it = model.find(pc);
+            if (it == model.end())
+                ASSERT_EQ(got, nullptr) << std::hex << pc;
+            else
+                ASSERT_TRUE(got && *got == it->second)
+                    << std::hex << pc;
+        } else {
+            int64_t &e = t.lookup(pc);
+            ASSERT_EQ(e, model[pc]) << std::hex << pc;
+            e = static_cast<int64_t>(rng.next());
+            model[pc] = e;
+        }
+
+        if (step % 1000 == 0) {
+            for (auto &[epc, ref] : early) {
+                ASSERT_EQ(ref, t.probe(epc));
+                ASSERT_EQ(*ref, model[epc]);
+                *ref += 1; // write through the old reference
+                model[epc] += 1;
+                ASSERT_EQ(t.lookup(epc), model[epc]);
+            }
+        }
+    }
+    ASSERT_GT(model.size(), 4000u); // grew well past the first index
+    for (const auto &[pc, v] : model)
+        ASSERT_EQ(*t.probe(pc), v);
+    EXPECT_EQ(t.conflicts(), 0u);
 }
 
 TEST(Table, LimitedModeAliases)

@@ -100,7 +100,8 @@ TEST_P(GvqDelayProperty, WindowIsShiftedHistory)
         delayed.push(v);
         reference.push_front(v);
 
-        core::ValueWindow w = delayed.visibleWindow();
+        core::ValueWindow w;
+        delayed.visibleWindow(w);
         size_t expect_count =
             reference.size() > delay
                 ? std::min<size_t>(8, reference.size() - delay)

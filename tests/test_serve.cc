@@ -516,6 +516,16 @@ TEST(DaemonTest, GarbageJsonGetsAnErrorAndTheConnectionSurvives)
     ASSERT_EQ(readFrame(client.fd(), payload), FrameStatus::Ok);
     EXPECT_NE(payload.find("unknown workload"), std::string::npos);
 
+    // Admission runs the same whole-sweep validation as gdiffrun: an
+    // out-of-range GVQ order never reaches a worker.
+    ASSERT_TRUE(writeFrame(
+        client.fd(),
+        "{\"type\":\"submit\",\"grid\":\"workload=mcf;"
+        "scheme=hgvq;order=65\"}"));
+    ASSERT_EQ(readFrame(client.fd(), payload), FrameStatus::Ok);
+    EXPECT_NE(payload.find("order 65 is out of range"),
+              std::string::npos);
+
     EXPECT_TRUE(client.ping(&error)) << error;
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "util/bits.hh"
 #include "util/json.hh"
@@ -71,6 +73,11 @@ TEST(Bits, Logs)
     EXPECT_EQ(floorLog2(1024), 10u);
     EXPECT_EQ(ceilLog2(1024), 10u);
     EXPECT_EQ(ceilLog2(1025), 11u);
+    EXPECT_EQ(nextPow2(0), 1u);
+    EXPECT_EQ(nextPow2(1), 1u);
+    EXPECT_EQ(nextPow2(3), 4u);
+    EXPECT_EQ(nextPow2(64), 64u);
+    EXPECT_EQ(nextPow2(264), 512u);
 }
 
 TEST(Bits, Mask)
@@ -272,6 +279,56 @@ TEST(RingHistory, ClearEmptiesWindow)
     EXPECT_EQ(h[0], 0);
     h.push(5);
     EXPECT_EQ(h[0], 5);
+}
+
+// Storage is rounded up to a power of two; the logical capacity is
+// what the ring reports and saturates at, and ages past it read as
+// evicted even though the wider storage still holds their values.
+TEST(RingHistory, NonPowerOfTwoCapacityWrapsAtLogicalCapacity)
+{
+    for (size_t cap : {size_t(3), size_t(264)}) {
+        SCOPED_TRACE(cap);
+        RingHistory<int64_t> h(cap);
+        EXPECT_EQ(h.capacity(), cap);
+        const int64_t pushes = static_cast<int64_t>(3 * cap + 7);
+        for (int64_t i = 1; i <= pushes; ++i) {
+            h.push(i);
+            size_t expect = std::min<size_t>(static_cast<size_t>(i), cap);
+            ASSERT_EQ(h.size(), expect);
+            ASSERT_EQ(h.capacity(), cap);
+            ASSERT_EQ(h[0], i);
+            ASSERT_EQ(h[expect - 1], i - static_cast<int64_t>(expect) + 1);
+            ASSERT_EQ(h[expect], 0);
+        }
+
+        // A bulk copy of every retained age, newest first, matches
+        // element reads.
+        std::vector<int64_t> ages(cap);
+        h.copyAges(0, cap, ages.data());
+        for (size_t k = 0; k < cap; ++k)
+            ASSERT_EQ(ages[k], h[k]);
+        h.copyAges(1, cap - 1, ages.data());
+        for (size_t k = 0; k + 1 < cap; ++k)
+            ASSERT_EQ(ages[k], h[k + 1]);
+
+        // Replace across the wrap point: every retained age, then the
+        // first evicted one.
+        for (size_t k = 0; k < cap; ++k)
+            ASSERT_TRUE(h.replace(k, -static_cast<int64_t>(k)));
+        EXPECT_FALSE(h.replace(cap, 99));
+        for (size_t k = 0; k < cap; ++k)
+            ASSERT_EQ(h[k], -static_cast<int64_t>(k));
+        EXPECT_EQ(h[cap], 0);
+
+        // A push ages every replaced value by one and evicts the
+        // oldest.
+        h.push(1000);
+        EXPECT_EQ(h[0], 1000);
+        for (size_t k = 1; k < cap; ++k)
+            ASSERT_EQ(h[k], -static_cast<int64_t>(k - 1));
+        EXPECT_EQ(h.size(), cap);
+        EXPECT_EQ(h.totalPushes(), static_cast<uint64_t>(pushes) + 1);
+    }
 }
 
 // --------------------------------------------------------------- json
