@@ -88,8 +88,8 @@ timedRead(const std::string &path, uint64_t *checksum)
 {
     auto t0 = Clock::now();
     workload::TraceFileSource src(path);
-    auto chunk = std::make_unique<workload::TraceChunk>();
-    while (src.fill(*chunk)) {
+    auto scratch = std::make_unique<workload::TraceChunk>();
+    while (const workload::TraceChunk *chunk = src.fillRef(*scratch)) {
         for (uint32_t i = 0; i < chunk->size; ++i)
             *checksum += static_cast<uint64_t>(chunk->value[i]) ^
                          chunk->effAddr[i];

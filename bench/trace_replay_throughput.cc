@@ -3,7 +3,7 @@
  * Trace-layer throughput harness: how fast can a consumer drain a
  * dynamic instruction stream under the three delivery mechanisms?
  *
- *   single    legacy per-record regeneration (virtual next() per
+ *   single    per-record regeneration (Executor::next() per
  *             instruction, functional execution each time)
  *   chunked   chunked regeneration (Executor::fill, SoA batches)
  *   replay    cached replay (TraceCache hit → CachedTraceSource)
@@ -44,9 +44,9 @@ struct Run
     uint64_t checksum = 0; ///< defeats dead-code elimination
 };
 
-/** Drain @p src per-record up to @p budget records. */
+/** Execute @p src record by record up to @p budget records. */
 Run
-drainSingle(workload::TraceSource &src, uint64_t budget)
+drainSingle(workload::Executor &src, uint64_t budget)
 {
     Run run;
     workload::TraceRecord r;

@@ -150,16 +150,25 @@ runRecord(const Options &o)
     auto src = makeSource(o);
     workload::TraceWriter writer(o.record);
     // Record chunk-at-a-time: each full chunk lands as one on-disk
-    // block, the final partial chunk is trimmed to the budget.
-    auto chunk = std::make_unique<workload::TraceChunk>();
-    while (writer.written() < o.instructions && src->fill(*chunk)) {
+    // block; the final chunk goes in record by record up to the
+    // budget, which the writer also closes as one block.
+    auto scratch = std::make_unique<workload::TraceChunk>();
+    while (writer.written() < o.instructions) {
+        const workload::TraceChunk *chunk = src->fillRef(*scratch);
+        if (!chunk)
+            break;
         uint64_t remaining = o.instructions - writer.written();
-        if (chunk->size > remaining)
-            chunk->size = static_cast<uint32_t>(remaining);
-        writer.append(*chunk);
+        if (chunk->size <= remaining) {
+            writer.append(*chunk);
+            continue;
+        }
+        for (uint32_t i = 0; i < remaining; ++i)
+            writer.append(chunk->record(i));
     }
     uint64_t written = writer.written();
-    writer.close();
+    workload::TraceIoResult closed = writer.close();
+    if (closed.failed())
+        fatal("%s", closed.message.c_str());
     std::printf("wrote %llu records to %s\n",
                 static_cast<unsigned long long>(written),
                 o.record.c_str());

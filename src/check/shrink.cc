@@ -78,20 +78,9 @@ writeReproArtifact(const std::string &path,
         r.value = stream[i].value;
         writer.append(r);
     }
-    writer.close();
-}
-
-std::vector<FuzzRecord>
-readReproArtifact(const std::string &path)
-{
-    workload::TraceFileSource source(path);
-    std::vector<FuzzRecord> stream;
-    workload::TraceRecord r;
-    while (source.next(r)) {
-        if (r.producesValue())
-            stream.push_back(FuzzRecord{r.pc, r.value});
-    }
-    return stream;
+    workload::TraceIoResult res = writer.close();
+    if (res.failed())
+        fatal("%s", res.message.c_str());
 }
 
 bool

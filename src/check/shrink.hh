@@ -8,7 +8,7 @@
  * be self-contained — construct *fresh* predictor state on every
  * call — because each trial replays a different stream from scratch.
  *
- * Minimized streams are persisted as trace-io v2 files so any trace
+ * Minimized streams are persisted as trace files so any trace
  * consumer (gdiffrun --trace, the profile drivers) can replay them:
  * each (pc, value) record becomes an Li instruction writing t0, which
  * producesValue() and therefore reaches the predictors unchanged.
@@ -55,21 +55,16 @@ shrinkStream(const std::vector<FuzzRecord> &stream,
 std::string reproArtifactName(const std::string &pairName,
                               uint64_t seed);
 
-/** Write @p stream to @p path as a trace-io v2 file. */
+/** Write @p stream to @p path as a trace file; fatal() on failure. */
 void writeReproArtifact(const std::string &path,
                         const std::vector<FuzzRecord> &stream);
 
 /**
- * Read a repro artifact back as a (pc, value) stream. Any trace-io
- * v2 file works: only value-producing records are kept.
- */
-std::vector<FuzzRecord> readReproArtifact(const std::string &path);
-
-/**
- * Typed-error form of readReproArtifact() for untrusted artifacts
- * (gdifffuzz --replay takes arbitrary user paths): a missing,
- * corrupt, truncated, or wrong-version file comes back as the
- * TraceIoResult instead of fatal().
+ * Read a repro artifact back as a (pc, value) stream. Any trace file
+ * works: only value-producing records are kept. Artifacts are
+ * untrusted (gdifffuzz --replay takes arbitrary user paths), so a
+ * missing, corrupt, truncated, or wrong-version file comes back as
+ * the TraceIoResult instead of fatal().
  *
  * @return true with the records in @p stream; false with @p result
  * (if non-null) holding the typed status and message.

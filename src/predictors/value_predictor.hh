@@ -10,24 +10,27 @@
  * OOO pipeline separates them by the real dispatch-to-writeback
  * latency, with in-flight instances in between).
  *
- * The scalar pair is the semantic specification. The hot consumers
- * (sim/profile, the vp_scheme training path) drive the *batch*
- * protocol instead: whole lanes of (pc, actual) pairs per call, with
- * chunk-level conveniences over workload::TraceChunk. Every batch
- * entry point has a default that loops the scalar calls, so a new
- * predictor only ever implements predict()/update(); the hot families
- * override predictUpdateBatch() with fused single-lookup loops (see
- * docs/INTERNALS.md §10). Batched and scalar paths are required to be
- * bit-identical — src/check's scalar-vs-batch differ and the
- * gdifffuzz --batch mode police that the same way production-vs-
- * oracle divergence is policed.
+ * Five entry points: predict(), update() and predictAhead() per
+ * record, and the two batch calls updateBatch() and
+ * predictUpdateBatch(). The scalar pair is the semantic
+ * specification. The hot consumers (sim/profile, the vp_scheme
+ * training path) drive the *batch* protocol instead: whole lanes of
+ * (pc, actual) pairs per call; sim/profile gathers them from a
+ * workload::TraceChunk with gatherValueLanes(). Both batch calls
+ * have a default that loops the scalar calls, so a new predictor
+ * only ever implements predict()/update(); the hot families override
+ * predictUpdateBatch() with fused single-lookup loops (see
+ * docs/INTERNALS.md §10).
+ * Batched and scalar paths are required to be bit-identical —
+ * src/check's scalar-vs-batch differ and the gdifffuzz --batch mode
+ * police that the same way production-vs-oracle divergence is
+ * policed.
  */
 
 #ifndef GDIFF_PREDICTORS_VALUE_PREDICTOR_HH
 #define GDIFF_PREDICTORS_VALUE_PREDICTOR_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -41,15 +44,12 @@ namespace predictors {
 
 /**
  * Per-lane outcome of a batch prediction call. Lanes are dense:
- * lane l is the l-th record the call predicted for (for the chunk
- * entry points, the l-th value-producing record of the chunk;
- * record[l] holds its chunk index).
+ * lane l is the l-th record the call predicted for.
  */
 struct PredictionBatch
 {
     std::vector<int64_t> value;    ///< predicted value (when predicted)
     std::vector<uint8_t> predicted;///< 1 if the lane was predicted
-    std::vector<uint32_t> record;  ///< chunk record index (chunk APIs)
 
     /** Size for @p lanes lanes, zeroing predicted/value. */
     void
@@ -57,7 +57,6 @@ struct PredictionBatch
     {
         value.assign(lanes, 0);
         predicted.assign(lanes, 0);
-        record.clear();
     }
 
     size_t lanes() const { return predicted.size(); }
@@ -107,7 +106,7 @@ class ValuePredictor
         return predict(pc, value);
     }
 
-    /// @name Batch protocol (array form)
+    /// @name Batch protocol
     /// Semantics are defined by the scalar calls: each batch entry
     /// point must behave exactly as its default loop below. The fused
     /// form exists because the scalar protocol *interleaves* predict
@@ -115,24 +114,6 @@ class ValuePredictor
     /// effect of lanes 0..l-1 — so a profitable batch implementation
     /// hoists table/state access per record, not per phase.
     /// @{
-
-    /**
-     * Predict lanes 0..n-1 without training: out lane l is the
-     * prediction for pcs[l] against current state. Equivalent to n
-     * predict() calls (no state changes).
-     */
-    virtual void
-    predictBatch(const uint64_t *pcs, uint32_t n, PredictionBatch &out)
-    {
-        out.reset(n);
-        for (uint32_t l = 0; l < n; ++l) {
-            int64_t v = 0;
-            if (predict(pcs[l], v)) {
-                out.predicted[l] = 1;
-                out.value[l] = v;
-            }
-        }
-    }
 
     /**
      * Train lanes 0..n-1 in order. Equivalent to n update() calls.
@@ -167,41 +148,14 @@ class ValuePredictor
         }
     }
     /// @}
-
-    /// @name Batch protocol (chunk form)
-    /// Gather the chunk's value-producing records into dense lanes
-    /// (out.record maps lanes back to chunk indices), then forward to
-    /// the array form. Non-virtual: predictors customize the array
-    /// entry points.
-    /// @{
-
-    /** predictBatch over the chunk's value-producing records. */
-    void predictChunk(const workload::TraceChunk &chunk,
-                      PredictionBatch &out);
-
-    /**
-     * updateBatch over the chunk's value-producing records.
-     *
-     * @param actuals empty = train on the chunk's value column;
-     *        otherwise one actual per value-producing record (in
-     *        chunk order) — e.g. load addresses in the address study.
-     */
-    void updateChunk(const workload::TraceChunk &chunk,
-                     std::span<const int64_t> actuals = {});
-
-    /** predictUpdateBatch over the chunk's value-producing records. */
-    void predictUpdateChunk(const workload::TraceChunk &chunk,
-                            PredictionBatch &out);
-    /// @}
 };
 
 /**
  * Gather the dense value-producing lanes of @p chunk, considering
  * only records [0, limit): lane arrays receive the pc and produced
  * value, records[l] the chunk record index. Arrays must hold
- * TraceChunk::capacity elements. @return the lane count. Shared by
- * the chunk entry points above and the profile drivers (which gather
- * once for many predictors).
+ * TraceChunk::capacity elements. @return the lane count. The
+ * profile drivers gather once per chunk for many predictors.
  */
 uint32_t gatherValueLanes(const workload::TraceChunk &chunk,
                           uint32_t limit, uint64_t *pcs,

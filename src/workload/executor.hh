@@ -38,15 +38,23 @@ class Executor : public TraceSource
      * @return false once the program has executed Halt (no record is
      *         produced for or after Halt).
      */
-    bool next(TraceRecord &out) override;
+    bool next(TraceRecord &out);
 
     /**
      * Execute up to TraceChunk::capacity instructions and emit them
      * as one structure-of-arrays batch. Equivalent to pumping next():
      * the chunked and per-record streams are record-identical (pinned
      * by tests/test_trace_cache.cc).
+     * @return false when the program halted before any record.
      */
-    bool fill(TraceChunk &chunk) override;
+    bool fill(TraceChunk &chunk);
+
+    /** fill() into @p scratch. */
+    const TraceChunk *
+    fillRef(TraceChunk &scratch) override
+    {
+        return fill(scratch) ? &scratch : nullptr;
+    }
 
     /** @return true once Halt has executed. */
     bool halted() const { return isHalted; }

@@ -58,19 +58,6 @@ TraceChunk::record(uint32_t i) const
 }
 
 void
-TraceChunk::assign(const TraceChunk &other)
-{
-    size = other.size;
-    std::copy_n(other.inst.begin(), size, inst.begin());
-    std::copy_n(other.seq.begin(), size, seq.begin());
-    std::copy_n(other.pc.begin(), size, pc.begin());
-    std::copy_n(other.nextPc.begin(), size, nextPc.begin());
-    std::copy_n(other.value.begin(), size, value.begin());
-    std::copy_n(other.effAddr.begin(), size, effAddr.begin());
-    std::copy_n(other.flags.begin(), size, flags.begin());
-}
-
-void
 TraceChunk::assignSlice(const TraceChunk &other, uint32_t begin,
                         uint32_t count)
 {
@@ -86,49 +73,6 @@ TraceChunk::assignSlice(const TraceChunk &other, uint32_t begin,
     std::copy_n(other.value.begin() + begin, count, value.begin());
     std::copy_n(other.effAddr.begin() + begin, count, effAddr.begin());
     std::copy_n(other.flags.begin() + begin, count, flags.begin());
-}
-
-// ------------------------------------------------------ TraceSource
-
-bool
-TraceSource::fill(TraceChunk &chunk)
-{
-    // Default: pump the per-record API. Sources that can produce
-    // whole batches (Executor, the replay sources) override this.
-    chunk.clear();
-    TraceRecord r;
-    while (!chunk.full() && next(r))
-        chunk.push(r);
-    return !chunk.empty();
-}
-
-bool
-TraceSource::next(TraceRecord &out)
-{
-    // Default: drain an internal chunk refilled via fill().
-    if (!buffer || bufferPos >= buffer->size) {
-        if (!buffer)
-            buffer = std::make_unique<TraceChunk>();
-        bufferPos = 0;
-        if (!fill(*buffer))
-            return false;
-    }
-    out = buffer->record(bufferPos++);
-    return true;
-}
-
-const TraceChunk *
-TraceSource::fillRef(TraceChunk &scratch)
-{
-    return fill(scratch) ? &scratch : nullptr;
-}
-
-void
-TraceSource::resetBuffer()
-{
-    if (buffer)
-        buffer->clear();
-    bufferPos = 0;
 }
 
 // -------------------------------------------------- SkipTraceSource
@@ -165,19 +109,6 @@ SkipTraceSource::skipPrefix()
         partialPending = true;
         toSkip = 0;
     }
-}
-
-bool
-SkipTraceSource::fill(TraceChunk &chunk)
-{
-    if (!skipped)
-        skipPrefix();
-    if (partialPending) {
-        partialPending = false;
-        chunk.assign(*partial);
-        return !chunk.empty();
-    }
-    return inner.fill(chunk);
 }
 
 const TraceChunk *

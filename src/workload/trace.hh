@@ -7,8 +7,10 @@
  * Records move through the system in *chunks* — structure-of-arrays
  * batches of up to TraceChunk::capacity records — so the hot consumer
  * loops stream through parallel pc/value/effAddr/flags arrays instead
- * of calling a virtual next() per instruction, and so a materialized
+ * of paying a virtual call per instruction, and so a materialized
  * trace can be shared read-only between jobs (workload/trace_cache.hh).
+ * TraceSource has one pull call, fillRef(); nothing pulls a stream
+ * one record at a time.
  */
 
 #ifndef GDIFF_WORKLOAD_TRACE_HH
@@ -63,9 +65,8 @@ struct TraceRecord
  * control) is pre-decoded into a flags byte at push() time so the
  * profile loops reduce to a flag test plus column reads.
  *
- * Chunks are ~260 KiB; heap-allocate them (the consumers and the
- * TraceSource base class do) rather than placing one on the stack of
- * a deep call chain.
+ * Chunks are ~260 KiB; heap-allocate them (the consumers do) rather
+ * than placing one on the stack of a deep call chain.
  */
 struct TraceChunk
 {
@@ -118,9 +119,6 @@ struct TraceChunk
     /** @return record i re-assembled into the AoS form. */
     TraceRecord record(uint32_t i) const;
 
-    /** Copy the used prefix of @p other into this chunk. */
-    void assign(const TraceChunk &other);
-
     /**
      * Copy records [begin, begin+count) of @p other into this chunk
      * starting at record 0 (@p other must not be this chunk). The
@@ -135,21 +133,14 @@ struct TraceChunk
 };
 
 /**
- * Abstract producer of a dynamic instruction stream.
- *
- * The primary API is chunked: fill() hands the consumer up to
- * TraceChunk::capacity records at a time. A per-record next() remains
- * for inspection tools and tests; its default implementation drains
- * an internal chunk buffer refilled via fill().
- *
- * Implementations must override at least one of fill()/next() — each
- * default is expressed in terms of the other. Overriding both (as
- * Executor does) avoids the buffering indirection entirely.
+ * Abstract producer of a dynamic instruction stream, pulled one chunk
+ * at a time through fillRef() — the only way to read a stream.
  *
  * Implementations: workload::Executor (functional execution of a
  * synthetic kernel), TraceFileSource (binary trace replay),
- * CachedTraceSource (in-memory shared-trace replay), and test
- * fixtures that replay canned sequences.
+ * CachedTraceSource (in-memory shared-trace replay), SkipTraceSource
+ * (fast-forward over another source), and test fixtures that replay
+ * canned sequences.
  */
 class TraceSource
 {
@@ -157,42 +148,14 @@ class TraceSource
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next batch of dynamic instructions.
-     *
-     * @param chunk cleared and refilled with 1..capacity records.
-     * @return false when the stream has ended (no records were added).
+     * Return a read-only view of the next batch of 1..capacity
+     * records, or nullptr at end of stream. Generating sources fill
+     * @p scratch and return &scratch; replay sources that already
+     * hold frozen chunks return them directly, skipping the ~260 KiB
+     * copy per batch. The returned chunk is only valid until the
+     * next call on this source.
      */
-    virtual bool fill(TraceChunk &chunk);
-
-    /**
-     * Produce the next dynamic instruction.
-     *
-     * @param out filled with the next record on success.
-     * @return false when the stream has ended (program halted).
-     */
-    virtual bool next(TraceRecord &out);
-
-    /**
-     * Zero-copy variant of fill(): return a read-only view of the
-     * next batch, or nullptr at end of stream. The default fills
-     * @p scratch via fill() and returns &scratch; replay sources
-     * that already hold frozen chunks return them directly, skipping
-     * the ~260 KiB copy per batch. The returned chunk is only valid
-     * until the next call on this source.
-     */
-    virtual const TraceChunk *fillRef(TraceChunk &scratch);
-
-  protected:
-    /**
-     * Drop any records the default next() has buffered but not yet
-     * handed out. Sources that support rewinding must call this when
-     * they rewind, or buffered stale records would replay first.
-     */
-    void resetBuffer();
-
-  private:
-    std::unique_ptr<TraceChunk> buffer; ///< lazily allocated
-    uint32_t bufferPos = 0;
+    virtual const TraceChunk *fillRef(TraceChunk &scratch) = 0;
 };
 
 /**
@@ -216,7 +179,6 @@ class SkipTraceSource : public TraceSource
   public:
     SkipTraceSource(TraceSource &inner, uint64_t skip);
 
-    bool fill(TraceChunk &chunk) override;
     const TraceChunk *fillRef(TraceChunk &scratch) override;
 
   private:

@@ -60,18 +60,6 @@ CachedTraceSource::CachedTraceSource(
                  "CachedTraceSource needs a materialized trace");
 }
 
-bool
-CachedTraceSource::fill(TraceChunk &chunk)
-{
-    const auto &chunks = trace->chunks();
-    if (cursor >= chunks.size()) {
-        chunk.clear();
-        return false;
-    }
-    chunk.assign(*chunks[cursor++]);
-    return true;
-}
-
 const TraceChunk *
 CachedTraceSource::fillRef(TraceChunk &)
 {
@@ -85,7 +73,6 @@ void
 CachedTraceSource::rewind()
 {
     cursor = 0;
-    resetBuffer();
 }
 
 // ------------------------------------------------------- TraceCache

@@ -89,16 +89,14 @@ class MaterializedTrace
 /**
  * Replays a MaterializedTrace as a TraceSource. Holds a shared
  * reference, so the trace outlives any cache eviction while a replay
- * is in flight. fill() copies the next frozen chunk into the
- * caller's buffer; nothing in the shared trace is ever written.
+ * is in flight. fillRef() hands out the frozen chunks themselves;
+ * nothing in the shared trace is ever written.
  */
 class CachedTraceSource : public TraceSource
 {
   public:
     explicit CachedTraceSource(
         std::shared_ptr<const MaterializedTrace> trace);
-
-    bool fill(TraceChunk &chunk) override;
 
     /** Hands out the frozen chunk itself: replay never copies. */
     const TraceChunk *fillRef(TraceChunk &scratch) override;

@@ -1,7 +1,6 @@
 #include "workload/trace_disk_cache.hh"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -54,44 +53,6 @@ endsWith(const std::string &s, const char *suffix)
     return s.size() >= n &&
            s.compare(s.size() - n, n, suffix) == 0;
 }
-
-/** A read-only mmap of a whole file; empty data() on failure. */
-struct MappedFile
-{
-    const uint8_t *bytes = nullptr;
-    size_t size = 0;
-
-    explicit MappedFile(const std::string &path)
-    {
-        int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return;
-        struct stat st{};
-        if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-            ::close(fd);
-            return;
-        }
-        size = static_cast<size_t>(st.st_size);
-        if (size > 0) {
-            void *m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE,
-                             fd, 0);
-            if (m == MAP_FAILED) {
-                size = 0;
-            } else {
-                bytes = static_cast<const uint8_t *>(m);
-            }
-        }
-        ::close(fd);
-    }
-
-    ~MappedFile()
-    {
-        if (bytes)
-            ::munmap(const_cast<uint8_t *>(bytes), size);
-    }
-
-    bool ok() const { return bytes != nullptr; }
-};
 
 } // anonymous namespace
 
@@ -146,18 +107,18 @@ DiskTraceCache::load(const std::string &workload, uint64_t seed,
         path = cfg.root + "/" + entryName(workload, seed, records);
     }
 
-    MappedFile map(path);
-    if (!map.ok()) {
+    // Decode the whole entry; read() verifies the per-block digests
+    // and the trailing whole-file digest before End is reported. An
+    // entry that cannot be opened (IoError) is a plain miss; any
+    // other failure is quarantined below.
+    TraceFileReader reader;
+    TraceIoResult r = reader.open(path);
+    if (r.status == TraceIoStatus::IoError) {
         std::lock_guard<std::mutex> guard(lock);
         ++counters.misses;
         GDIFF_OBS_COUNT("trace_disk.miss", 1);
         return nullptr;
     }
-
-    // Decode the whole entry; read() verifies the per-block digests
-    // and the trailing whole-file digest before End is reported.
-    TraceBufferReader reader;
-    TraceIoResult r = reader.open(map.bytes, map.size);
     std::vector<std::unique_ptr<TraceChunk>> chunks;
     while (r.ok()) {
         auto chunk = std::make_unique<TraceChunk>();
@@ -208,11 +169,17 @@ DiskTraceCache::store(const std::string &workload, uint64_t seed,
         formatString("%s.tmp.%d", path.c_str(),
                      static_cast<int>(::getpid()));
 
-    {
-        TraceWriter writer(tmp, traceVersionV3);
-        for (const auto &chunk : trace.chunks())
-            writer.append(*chunk);
-        writer.close();
+    // A failed write (full disk, root removed under us) costs only
+    // this entry: the caller already holds the trace in memory.
+    TraceWriter writer(tmp, traceVersionV3);
+    for (const auto &chunk : trace.chunks())
+        writer.append(*chunk);
+    TraceIoResult written = writer.close();
+    if (written.failed()) {
+        warn("cannot write trace cache entry '%s' (%s)", path.c_str(),
+             written.message.c_str());
+        ::unlink(tmp.c_str());
+        return;
     }
 
     // Atomic publish: concurrent writers both produce identical

@@ -19,10 +19,13 @@
  *    into place, so a crash mid-write never leaves a half-entry and
  *    concurrent writers race safely (both produce identical bytes;
  *    last rename wins);
- *  - loads mmap the entry read-only and decode through
- *    TraceBufferReader; any corruption — truncation, flipped bytes,
- *    digest mismatch — quarantines the entry (renamed to
- *    `<entry>.corrupt`) and reports a miss so the caller regenerates;
+ *  - loads decode the entry through TraceFileReader (which maps it
+ *    read-only); a missing entry is a miss, and any other failure —
+ *    truncation, flipped bytes, digest mismatch — quarantines the
+ *    entry (renamed to `<entry>.corrupt`) and reports a miss so the
+ *    caller regenerates;
+ *  - a store that cannot write its temp file (full disk, cache root
+ *    removed) warns, deletes the temp file and counts no store;
  *  - eviction is a byte-capped LRU over entry mtimes: a load hit
  *    bumps the entry's mtime, and any process that pushes the
  *    directory over the cap deletes oldest-first (never the entry it
@@ -92,7 +95,8 @@ class DiskTraceCache
 
     /**
      * Persist @p trace as the entry for (workload, seed, records)
-     * via temp file + atomic rename, then run the eviction sweep.
+     * via temp file + atomic rename, then run the eviction sweep. A
+     * write failure warns and leaves no entry behind.
      */
     void store(const std::string &workload, uint64_t seed,
                uint64_t records, const MaterializedTrace &trace);

@@ -1,6 +1,12 @@
 #include "workload/trace_io.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -268,16 +274,10 @@ traceIoStatusName(TraceIoStatus s)
     return "unknown";
 }
 
-// -------------------------------------------------- shared decoding
+// -------------------------------------------------------- decoding
 
 namespace {
 
-/**
- * Decode one v3 column payload into @p dest64 lanes (wide columns)
- * or @p dest8 bytes (u8 columns). Exactly one of dest64/dest8 is
- * non-null; @p elemBytes is the raw element width (1, 4, or 8).
- * @return false on any structural violation.
- */
 /** Parse a transposed-codec prefix: the phase period L. */
 bool
 getPeriod(const uint8_t *&data, uint32_t &len, uint32_t n,
@@ -293,6 +293,12 @@ getPeriod(const uint8_t *&data, uint32_t &len, uint32_t n,
     return true;
 }
 
+/**
+ * Decode one v3 column payload into @p dest64 lanes (wide columns)
+ * or @p dest8 bytes (u8 columns). Exactly one of dest64/dest8 is
+ * non-null; @p elemBytes is the raw element width (1, 4, or 8).
+ * @return false on any structural violation.
+ */
 bool
 decodeColumn(uint8_t tag, const uint8_t *data, uint32_t len,
              uint32_t n, size_t elemBytes, uint64_t *dest64,
@@ -497,11 +503,16 @@ TraceWriter::TraceWriter(const std::string &p, uint32_t version)
     GDIFF_ASSERT(ver == traceVersionV2 || ver == traceVersionV3,
                  "unsupported trace write version %u", ver);
     file = std::fopen(path.c_str(), "wb");
-    if (!file)
-        fatal("cannot create trace file '%s'", path.c_str());
+    if (!file) {
+        status = ioError(TraceIoStatus::IoError,
+                         formatString("cannot create trace file '%s' "
+                                      "(%s)",
+                                      path.c_str(),
+                                      std::strerror(errno)));
+        return;
+    }
     FileHeader h{traceMagic, ver, 0};
-    if (std::fwrite(&h, sizeof(h), 1, file) != 1)
-        fatal("cannot write trace header to '%s'", path.c_str());
+    writeRaw(&h, sizeof(h));
 }
 
 TraceWriter::~TraceWriter()
@@ -512,7 +523,8 @@ TraceWriter::~TraceWriter()
 void
 TraceWriter::append(const TraceRecord &r)
 {
-    GDIFF_ASSERT(file != nullptr, "append to a closed TraceWriter");
+    GDIFF_ASSERT(file || status.failed(),
+                 "append to a closed TraceWriter");
     if (!pending)
         pending = std::make_unique<TraceChunk>();
     pending->push(r);
@@ -524,7 +536,8 @@ TraceWriter::append(const TraceRecord &r)
 void
 TraceWriter::append(const TraceChunk &chunk)
 {
-    GDIFF_ASSERT(file != nullptr, "append to a closed TraceWriter");
+    GDIFF_ASSERT(file || status.failed(),
+                 "append to a closed TraceWriter");
     if (chunk.empty())
         return;
     // Flush the partial per-record block first so records stay in
@@ -544,18 +557,27 @@ TraceWriter::flushPending()
 }
 
 void
+TraceWriter::writeRaw(const void *data, size_t bytes)
+{
+    if (status.failed() || bytes == 0)
+        return;
+    if (std::fwrite(data, 1, bytes, file) != bytes) {
+        status = ioError(TraceIoStatus::IoError,
+                         formatString("short write to trace file "
+                                      "'%s' (%s)",
+                                      path.c_str(),
+                                      std::strerror(errno)));
+    }
+}
+
+void
 TraceWriter::writeBlock(const TraceChunk &chunk)
 {
     const uint32_t n = chunk.size;
     GDIFF_ASSERT(n > 0 && n <= TraceChunk::capacity,
                  "trace block size %u out of range", n);
-
-    auto writeRaw = [&](const void *data, size_t bytes) {
-        if (bytes > 0 &&
-            std::fwrite(data, 1, bytes, file) != bytes) {
-            fatal("short write while appending a trace block");
-        }
-    };
+    if (status.failed())
+        return;
 
     auto cols = std::make_unique<BlockColumns>();
     gatherInstColumns(chunk, *cols);
@@ -679,25 +701,34 @@ TraceWriter::writeBlock(const TraceChunk &chunk)
     writeRaw(payload.data(), payload.size());
 }
 
-void
+TraceIoResult
 TraceWriter::close()
 {
     if (!file)
-        return;
+        return status;
     flushPending();
     if (ver == traceVersionV3) {
         FooterV3 foot{footerMagic, 0, fileDigest};
-        if (std::fwrite(&foot, sizeof(foot), 1, file) != 1)
-            fatal("cannot write trace footer to '%s'", path.c_str());
+        writeRaw(&foot, sizeof(foot));
     }
     // Finalise the record count in the header.
     FileHeader h{traceMagic, ver, count};
-    if (std::fseek(file, 0, SEEK_SET) != 0 ||
-        std::fwrite(&h, sizeof(h), 1, file) != 1) {
-        fatal("cannot finalise trace header");
+    if (status.ok() && std::fseek(file, 0, SEEK_SET) != 0) {
+        status = ioError(TraceIoStatus::IoError,
+                         formatString("cannot finalise trace header "
+                                      "of '%s'",
+                                      path.c_str()));
     }
-    std::fclose(file);
+    writeRaw(&h, sizeof(h));
+    if (std::fclose(file) != 0 && status.ok()) {
+        status = ioError(TraceIoStatus::IoError,
+                         formatString("cannot close trace file '%s' "
+                                      "(%s)",
+                                      path.c_str(),
+                                      std::strerror(errno)));
+    }
     file = nullptr;
+    return status;
 }
 
 // ------------------------------------------------- TraceFileReader
@@ -708,36 +739,80 @@ TraceFileReader::TraceFileReader()
 
 TraceFileReader::~TraceFileReader()
 {
-    if (file)
-        std::fclose(file);
+    unmap();
+}
+
+void
+TraceFileReader::unmap()
+{
+    if (base)
+        ::munmap(const_cast<uint8_t *>(base), size);
+    base = nullptr;
+    size = 0;
 }
 
 TraceIoResult
 TraceFileReader::open(const std::string &p, uint32_t maxVersion)
 {
-    if (file) {
-        std::fclose(file);
-        file = nullptr;
-    }
+    unmap();
     path = p;
-    file = std::fopen(path.c_str(), "rb");
-    if (!file) {
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
         return ioError(TraceIoStatus::IoError,
-                       formatString("cannot open trace file '%s'",
-                                    path.c_str()));
+                       formatString("cannot open trace file '%s' (%s)",
+                                    path.c_str(),
+                                    std::strerror(errno)));
     }
-    FileHeader h{};
-    if (std::fread(&h, sizeof(h), 1, file) != 1) {
-        return ioError(TraceIoStatus::Truncated,
-                       formatString("trace file '%s' is truncated",
-                                    path.c_str()));
+    // A missing or unmappable file is an I/O error; a file too short
+    // to hold the header (empty included) is truncated.
+    TraceIoResult r;
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+        r = ioError(TraceIoStatus::IoError,
+                    formatString("cannot open trace file '%s' (not "
+                                 "a regular file)",
+                                 path.c_str()));
+    } else if (static_cast<size_t>(st.st_size) < sizeof(FileHeader)) {
+        r = ioError(TraceIoStatus::Truncated,
+                    formatString("trace file '%s' is truncated",
+                                 path.c_str()));
+    } else {
+        size = static_cast<size_t>(st.st_size);
+        void *m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+        if (m == MAP_FAILED) {
+            size = 0;
+            r = ioError(TraceIoStatus::IoError,
+                        formatString("cannot map trace file '%s' (%s)",
+                                     path.c_str(),
+                                     std::strerror(errno)));
+        } else {
+            base = static_cast<const uint8_t *>(m);
+        }
     }
-    TraceIoResult r = checkHeader(h, path, maxVersion, &ver, &total);
+    ::close(fd);
     if (r.failed())
         return r;
+
+    FileHeader h{};
+    std::memcpy(&h, base, sizeof(h));
+    r = checkHeader(h, path, maxVersion, &ver, &total);
+    if (r.failed()) {
+        unmap();
+        return r;
+    }
+    return rewind();
+}
+
+TraceIoResult
+TraceFileReader::rewind()
+{
+    if (!base) {
+        return ioError(TraceIoStatus::IoError,
+                       "rewind of an unopened trace reader");
+    }
+    cursor = base + sizeof(FileHeader);
     consumed = 0;
     runningDigest = codec::fnvOffsetBasis;
-    footerVerified = false;
     return TraceIoResult{};
 }
 
@@ -745,10 +820,11 @@ TraceIoResult
 TraceFileReader::read(TraceChunk &chunk)
 {
     chunk.clear();
-    if (!file) {
+    if (!base) {
         return ioError(TraceIoStatus::IoError,
                        "read from an unopened trace reader");
     }
+    const uint8_t *end = base + size;
 
     auto truncated = [&]() {
         return ioError(
@@ -761,15 +837,11 @@ TraceFileReader::read(TraceChunk &chunk)
     };
 
     if (consumed >= total) {
-        if (ver == traceVersionV3 && !footerVerified) {
+        if (ver == traceVersionV3) {
             FooterV3 foot{};
-            if (std::fread(&foot, sizeof(foot), 1, file) != 1) {
-                return ioError(
-                    TraceIoStatus::Truncated,
-                    formatString("trace '%s' is truncated (missing "
-                                 "footer)",
-                                 path.c_str()));
-            }
+            if (static_cast<size_t>(end - cursor) < sizeof(foot))
+                return truncated();
+            std::memcpy(&foot, cursor, sizeof(foot));
             if (foot.magic != footerMagic) {
                 return ioError(
                     TraceIoStatus::Corrupt,
@@ -783,155 +855,6 @@ TraceFileReader::read(TraceChunk &chunk)
                                  "(corrupt or tampered stream)",
                                  path.c_str()));
             }
-            footerVerified = true;
-        }
-        return ioError(TraceIoStatus::End, "");
-    }
-
-    if (ver == traceVersionV2) {
-        uint32_t n = 0;
-        if (std::fread(&n, sizeof(n), 1, file) != 1)
-            return truncated();
-        if (n == 0 || n > TraceChunk::capacity ||
-            n > total - consumed) {
-            return ioError(
-                TraceIoStatus::Corrupt,
-                formatString("trace '%s' has a corrupt block of %u "
-                             "records",
-                             path.c_str(), n));
-        }
-        blockBuf.resize(v2RecordBytes * n);
-        if (std::fread(blockBuf.data(), 1, blockBuf.size(), file) !=
-            blockBuf.size()) {
-            return truncated();
-        }
-        decodeColumnsV2(blockBuf.data(), n, chunk, *scratch);
-        consumed += n;
-        return TraceIoResult{};
-    }
-
-    BlockHeaderV3 bh{};
-    if (std::fread(&bh, sizeof(bh), 1, file) != 1)
-        return truncated();
-    if (bh.n == 0 || bh.n > TraceChunk::capacity ||
-        bh.n > total - consumed || bh.payloadBytes == 0 ||
-        bh.payloadBytes > maxV3PayloadBytes) {
-        return ioError(
-            TraceIoStatus::Corrupt,
-            formatString("trace '%s' has a corrupt block header "
-                         "(%u records, %u payload bytes)",
-                         path.c_str(), bh.n, bh.payloadBytes));
-    }
-    blockBuf.resize(bh.payloadBytes);
-    if (std::fread(blockBuf.data(), 1, blockBuf.size(), file) !=
-        blockBuf.size()) {
-        return truncated();
-    }
-    if (codec::fnv1a(blockBuf.data(), blockBuf.size()) != bh.digest) {
-        return ioError(
-            TraceIoStatus::DigestMismatch,
-            formatString("trace '%s' block digest mismatch after "
-                         "%llu records",
-                         path.c_str(),
-                         static_cast<unsigned long long>(consumed)));
-    }
-    std::string why;
-    if (!decodeColumnsV3(blockBuf.data(), blockBuf.size(), bh.n,
-                         chunk, *scratch, &why)) {
-        return ioError(
-            TraceIoStatus::Corrupt,
-            formatString("trace '%s' has a corrupt block: %s",
-                         path.c_str(), why.c_str()));
-    }
-    runningDigest = codec::fnv1a(&bh, sizeof(bh), runningDigest);
-    runningDigest =
-        codec::fnv1a(blockBuf.data(), blockBuf.size(), runningDigest);
-    consumed += bh.n;
-    return TraceIoResult{};
-}
-
-TraceIoResult
-TraceFileReader::rewind()
-{
-    if (!file) {
-        return ioError(TraceIoStatus::IoError,
-                       "rewind of an unopened trace reader");
-    }
-    if (std::fseek(file, sizeof(FileHeader), SEEK_SET) != 0) {
-        return ioError(TraceIoStatus::IoError,
-                       formatString("cannot rewind trace file '%s'",
-                                    path.c_str()));
-    }
-    consumed = 0;
-    runningDigest = codec::fnvOffsetBasis;
-    footerVerified = false;
-    return TraceIoResult{};
-}
-
-// ----------------------------------------------- TraceBufferReader
-
-TraceBufferReader::TraceBufferReader()
-    : scratch(std::make_unique<detail::TraceDecodeScratch>())
-{}
-
-TraceBufferReader::~TraceBufferReader() = default;
-
-TraceIoResult
-TraceBufferReader::open(const uint8_t *data, size_t size,
-                        uint32_t maxVersion)
-{
-    cursor = nullptr;
-    end = nullptr;
-    if (size < sizeof(FileHeader)) {
-        return ioError(TraceIoStatus::Truncated,
-                       "trace image is smaller than its header");
-    }
-    FileHeader h{};
-    std::memcpy(&h, data, sizeof(h));
-    TraceIoResult r =
-        checkHeader(h, "<buffer>", maxVersion, &ver, &total);
-    if (r.failed())
-        return r;
-    cursor = data + sizeof(FileHeader);
-    end = data + size;
-    consumed = 0;
-    runningDigest = codec::fnvOffsetBasis;
-    return TraceIoResult{};
-}
-
-TraceIoResult
-TraceBufferReader::read(TraceChunk &chunk)
-{
-    chunk.clear();
-    if (!cursor) {
-        return ioError(TraceIoStatus::IoError,
-                       "read from an unopened trace image");
-    }
-
-    auto truncated = [&]() {
-        return ioError(
-            TraceIoStatus::Truncated,
-            formatString("trace image truncated after %llu of %llu "
-                         "records",
-                         static_cast<unsigned long long>(consumed),
-                         static_cast<unsigned long long>(total)));
-    };
-
-    if (consumed >= total) {
-        if (ver == traceVersionV3) {
-            FooterV3 foot{};
-            if (static_cast<size_t>(end - cursor) < sizeof(foot))
-                return truncated();
-            std::memcpy(&foot, cursor, sizeof(foot));
-            if (foot.magic != footerMagic) {
-                return ioError(TraceIoStatus::Corrupt,
-                               "trace image has a corrupt footer");
-            }
-            if (foot.digest != runningDigest) {
-                return ioError(TraceIoStatus::DigestMismatch,
-                               "trace image file digest mismatch "
-                               "(corrupt or tampered stream)");
-            }
         }
         return ioError(TraceIoStatus::End, "");
     }
@@ -944,9 +867,9 @@ TraceBufferReader::read(TraceChunk &chunk)
             n > total - consumed) {
             return ioError(
                 TraceIoStatus::Corrupt,
-                formatString("trace image has a corrupt block of %u "
+                formatString("trace '%s' has a corrupt block of %u "
                              "records",
-                             n));
+                             path.c_str(), n));
         }
         if (static_cast<size_t>(end - cursor - 4) <
             v2RecordBytes * n) {
@@ -967,9 +890,9 @@ TraceBufferReader::read(TraceChunk &chunk)
         bh.payloadBytes > maxV3PayloadBytes) {
         return ioError(
             TraceIoStatus::Corrupt,
-            formatString("trace image has a corrupt block header "
+            formatString("trace '%s' has a corrupt block header "
                          "(%u records, %u payload bytes)",
-                         bh.n, bh.payloadBytes));
+                         path.c_str(), bh.n, bh.payloadBytes));
     }
     if (static_cast<size_t>(end - cursor - sizeof(bh)) <
         bh.payloadBytes) {
@@ -979,8 +902,9 @@ TraceBufferReader::read(TraceChunk &chunk)
     if (codec::fnv1a(payload, bh.payloadBytes) != bh.digest) {
         return ioError(
             TraceIoStatus::DigestMismatch,
-            formatString("trace image block digest mismatch after "
+            formatString("trace '%s' block digest mismatch after "
                          "%llu records",
+                         path.c_str(),
                          static_cast<unsigned long long>(consumed)));
     }
     std::string why;
@@ -988,8 +912,8 @@ TraceBufferReader::read(TraceChunk &chunk)
                          *scratch, &why)) {
         return ioError(
             TraceIoStatus::Corrupt,
-            formatString("trace image has a corrupt block: %s",
-                         why.c_str()));
+            formatString("trace '%s' has a corrupt block: %s",
+                         path.c_str(), why.c_str()));
     }
     runningDigest = codec::fnv1a(&bh, sizeof(bh), runningDigest);
     runningDigest =
@@ -1001,23 +925,21 @@ TraceBufferReader::read(TraceChunk &chunk)
 
 // ------------------------------------------------ TraceFileSource
 
-TraceFileSource::TraceFileSource(const std::string &p) : path(p)
+TraceFileSource::TraceFileSource(const std::string &path)
 {
     TraceIoResult r = reader.open(path);
     if (r.failed())
         fatal("%s", r.message.c_str());
 }
 
-TraceFileSource::~TraceFileSource() = default;
-
-bool
-TraceFileSource::fill(TraceChunk &chunk)
+const TraceChunk *
+TraceFileSource::fillRef(TraceChunk &scratch)
 {
-    TraceIoResult r = reader.read(chunk);
+    TraceIoResult r = reader.read(scratch);
     if (r.ok())
-        return true;
+        return &scratch;
     if (r.end())
-        return false;
+        return nullptr;
     fatal("%s", r.message.c_str());
 }
 
@@ -1027,7 +949,6 @@ TraceFileSource::rewind()
     TraceIoResult r = reader.rewind();
     if (r.failed())
         fatal("%s", r.message.c_str());
-    resetBuffer();
 }
 
 } // namespace workload

@@ -26,21 +26,21 @@
  *    streams — the paper's whole subject — compress by an order of
  *    magnitude; see bench/trace_compress.
  *
- * Writers emit version 3 by default and version 2 on request.
- * Readers accept both transparently and reject anything else with an
- * error naming the found and supported versions.
+ * Writers emit version 3 by default and version 2 on request. The
+ * reader accepts both transparently and rejects anything else with
+ * an error naming the found and supported versions.
  *
- * Two reader APIs exist:
+ * One reader decodes every trace byte: TraceFileReader maps the file
+ * read-only and walks the mapped span block by block, returning
+ * *typed* errors (TraceIoStatus) and never terminating the process —
+ * truncations, flipped bytes and hostile varints come back as a clean
+ * status. The persistent disk cache loads its entries through it and
+ * quarantines the corrupt ones. TraceFileSource is the small
+ * TraceSource adapter for simulation drivers: it calls fatal() on
+ * any error the reader reports.
  *
- *  - TraceFileReader / TraceBufferReader return *typed* errors
- *    (TraceIoStatus) and never terminate the process: corrupt input —
- *    truncations, flipped bytes, hostile varints — yields a clean
- *    status the caller can recover from. The persistent trace cache
- *    uses this to quarantine and regenerate corrupt entries.
- *
- *  - TraceFileSource is the TraceSource adapter for simulation
- *    drivers; it wraps TraceFileReader and keeps the historical
- *    contract of fatal() on any malformed file.
+ * TraceWriter never terminates the process either: the first I/O
+ * failure sticks, later writes are skipped, and close() returns it.
  */
 
 #ifndef GDIFF_WORKLOAD_TRACE_IO_HH
@@ -61,7 +61,7 @@ namespace workload {
 /// @{
 inline constexpr uint32_t traceVersionV2 = 2;
 inline constexpr uint32_t traceVersionV3 = 3;
-/// oldest and newest versions the readers accept
+/// oldest and newest versions the reader accepts
 inline constexpr uint32_t traceVersionMin = traceVersionV2;
 inline constexpr uint32_t traceVersionMax = traceVersionV3;
 /// @}
@@ -99,8 +99,8 @@ class TraceWriter
 {
   public:
     /**
-     * Open @p path for writing (truncates). Calls fatal() if the
-     * file cannot be created.
+     * Open @p path for writing (truncates). A file that cannot be
+     * created is reported by close().
      *
      * @param version on-disk format: traceVersionV3 (default,
      * stride-delta compressed) or traceVersionV2 (raw columns).
@@ -118,8 +118,12 @@ class TraceWriter
     /** Append a whole chunk as one block. */
     void append(const TraceChunk &chunk);
 
-    /** Flush, finalise the header (and v3 footer), close. Idempotent. */
-    void close();
+    /**
+     * Flush, finalise the header (and v3 footer), close. Idempotent.
+     * @return Ok, or the first I/O failure since construction (an
+     * IoError; the file is then incomplete).
+     */
+    TraceIoResult close();
 
     /** @return records written so far. */
     uint64_t written() const { return count; }
@@ -134,28 +138,34 @@ class TraceWriter
     /** Encode and write one block in the selected format. */
     void writeBlock(const TraceChunk &chunk);
 
+    /** fwrite unless a write already failed; records a failure. */
+    void writeRaw(const void *data, size_t bytes);
+
     std::FILE *file = nullptr;
     std::string path;
     uint32_t ver = traceVersionV3;
     uint64_t count = 0;
     uint64_t fileDigest = 0; ///< running FNV over v3 block bytes
+    TraceIoResult status;    ///< first failure, sticky
     std::unique_ptr<TraceChunk> pending;
     /// reusable encode scratch (payload build + candidate encodings)
     std::vector<uint8_t> payload, candA, candB, candC, candD;
 };
 
 namespace detail {
-/// decode scratch shared by the readers (heap-allocated: ~100 KiB)
+/// decode scratch of a reader (heap-allocated: ~100 KiB)
 struct TraceDecodeScratch;
 } // namespace detail
 
 /**
- * Streaming trace-file reader with typed, recoverable errors.
+ * Trace-file reader with typed, recoverable errors.
  *
- * Unlike TraceFileSource this never calls fatal(): every malformed
- * input — wrong magic/version, truncation, corrupt blocks, digest
- * mismatches — comes back as a TraceIoResult so callers (the
- * persistent disk cache, the corruption tests) can handle it.
+ * open() maps the file read-only; read() decodes one block at a time
+ * from the mapped bytes. Every malformed input — wrong magic or
+ * version, truncation, corrupt blocks, digest mismatches — comes back
+ * as a TraceIoResult so callers (the persistent disk cache, the
+ * corruption tests) can handle it. The file must not be truncated
+ * while it is open.
  */
 class TraceFileReader
 {
@@ -167,7 +177,11 @@ class TraceFileReader
     TraceFileReader &operator=(const TraceFileReader &) = delete;
 
     /**
-     * Open and validate @p path's header.
+     * Map @p path and validate its header.
+     *
+     * @return Ok; IoError when the file cannot be opened or mapped
+     * (a missing file included); Truncated when it is shorter than
+     * the header (an empty file included); BadMagic or BadVersion.
      *
      * @param maxVersion newest format version to accept; readers
      * from the version-2 era are simulated in tests by passing
@@ -193,47 +207,13 @@ class TraceFileReader
     uint32_t version() const { return ver; }
 
   private:
-    std::FILE *file = nullptr;
+    /** Release the current mapping, if any. */
+    void unmap();
+
     std::string path;
-    uint32_t ver = 0;
-    uint64_t total = 0;
-    uint64_t consumed = 0;
-    uint64_t runningDigest = 0;
-    bool footerVerified = false;
-    std::vector<uint8_t> blockBuf;
-    std::unique_ptr<detail::TraceDecodeScratch> scratch;
-};
-
-/**
- * Decodes a complete in-memory trace image (e.g. an mmap'd persistent
- * cache entry) with the same typed-error contract as TraceFileReader.
- * Non-owning: the span must outlive the reader.
- */
-class TraceBufferReader
-{
-  public:
-    TraceBufferReader();
-    ~TraceBufferReader();
-
-    TraceBufferReader(const TraceBufferReader &) = delete;
-    TraceBufferReader &operator=(const TraceBufferReader &) = delete;
-
-    /** Validate the header of the @p size bytes at @p data. */
-    TraceIoResult open(const uint8_t *data, size_t size,
-                       uint32_t maxVersion = traceVersionMax);
-
-    /** Read the next block into @p chunk (see TraceFileReader::read). */
-    TraceIoResult read(TraceChunk &chunk);
-
-    /** @return total records the header promises. */
-    uint64_t totalRecords() const { return total; }
-
-    /** @return the image's format version (valid after open()). */
-    uint32_t version() const { return ver; }
-
-  private:
-    const uint8_t *cursor = nullptr;
-    const uint8_t *end = nullptr;
+    const uint8_t *base = nullptr;   ///< the mapped file; null = closed
+    size_t size = 0;                 ///< mapped bytes
+    const uint8_t *cursor = nullptr; ///< next unread block
     uint32_t ver = 0;
     uint64_t total = 0;
     uint64_t consumed = 0;
@@ -242,24 +222,17 @@ class TraceBufferReader
 };
 
 /**
- * Replays a binary trace file as a TraceSource. fill() reads one
- * on-disk block per call; the per-record next() comes from the
- * buffered TraceSource default.
+ * Replays a binary trace file as a TraceSource: fillRef() decodes one
+ * on-disk block per call into the caller's scratch chunk.
  */
 class TraceFileSource : public TraceSource
 {
   public:
-    /**
-     * Open @p path. Calls fatal() on missing file, bad magic, or
-     * version mismatch.
-     */
+    /** Open @p path. Calls fatal() on any error open() reports. */
     explicit TraceFileSource(const std::string &path);
-    ~TraceFileSource() override;
 
-    TraceFileSource(const TraceFileSource &) = delete;
-    TraceFileSource &operator=(const TraceFileSource &) = delete;
-
-    bool fill(TraceChunk &chunk) override;
+    /** Calls fatal() on a malformed block. */
+    const TraceChunk *fillRef(TraceChunk &scratch) override;
 
     /** @return total records the header promises. */
     uint64_t totalRecords() const { return reader.totalRecords(); }
@@ -269,7 +242,6 @@ class TraceFileSource : public TraceSource
 
   private:
     TraceFileReader reader;
-    std::string path;
 };
 
 /**

@@ -7,8 +7,8 @@
  * gdifffuzz --batch drives — run here over every batched family, a
  * spread of chunk sizes (1 record, a prime, SIMD-width multiples, a
  * full trace chunk), and both SIMD kernel sets. The remaining tests
- * pin the protocol pieces the differ does not reach: predict-only and
- * update-only batches, the chunk-gathering wrappers, the confidence
+ * pin the protocol pieces the differ does not reach: update-only
+ * batches, value-lane gathering with explicit actuals, the confidence
  * table's fused gate-and-train, and the Markov address predictor.
  */
 
@@ -87,10 +87,10 @@ TEST(BatchIdentity, AllFamiliesScalarKernels)
     diffAllFamilies(simd::Mode::Scalar);
 }
 
-// The differ exercises the fused predictUpdateBatch; predict-only and
-// update-only batches are separate virtual entry points with their
-// own overrides, so pin them directly against the scalar calls.
-TEST(BatchIdentity, PredictBatchAndUpdateBatchMatchScalar)
+// The differ exercises the fused predictUpdateBatch; updateBatch is a
+// separate virtual entry point with its own overrides, so pin it
+// directly against the scalar calls.
+TEST(BatchIdentity, UpdateBatchMatchesScalar)
 {
     const auto stream = testStream(202, 4000);
     std::vector<uint64_t> pcs;
@@ -103,28 +103,26 @@ TEST(BatchIdentity, PredictBatchAndUpdateBatchMatchScalar)
         auto a = check::makeProduction(family);
         auto b = check::makeProduction(family);
         const uint32_t n = static_cast<uint32_t>(pcs.size());
-        // Train both halves identically, batch vs scalar.
+        // Train the first half, batch vs scalar.
         a->updateBatch(pcs.data(), vals.data(), n / 2);
         for (uint32_t l = 0; l < n / 2; ++l)
             b->update(pcs[l], vals[l]);
-        // Predict-only over the second half: no training between
-        // lanes, so every lane must match the scalar predict().
-        predictors::PredictionBatch out;
-        a->predictBatch(pcs.data() + n / 2, n - n / 2, out);
-        for (uint32_t l = 0; l < n - n / 2; ++l) {
-            int64_t v = 0;
-            bool p = b->predict(pcs[n / 2 + l], v);
-            ASSERT_EQ(p, out.predicted[l] != 0)
-                << family << " lane " << l;
-            if (p)
-                ASSERT_EQ(v, out.value[l]) << family << " lane " << l;
+        // Predict-only over the second half: both must hold the same
+        // state, so every prediction matches.
+        for (uint32_t l = n / 2; l < n; ++l) {
+            int64_t va = 0, vb = 0;
+            bool pa = a->predict(pcs[l], va);
+            bool pb = b->predict(pcs[l], vb);
+            ASSERT_EQ(pa, pb) << family << " lane " << l;
+            if (pa)
+                ASSERT_EQ(va, vb) << family << " lane " << l;
         }
     }
 }
 
-// Chunk wrappers gather only the value-producing records into dense
-// lanes and record the chunk index of each lane.
-TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
+// The profile drivers gather only the value-producing records of a
+// chunk into dense lanes, then drive the batch calls over them.
+TEST(BatchIdentity, GatheredValueLanesDriveBatchCalls)
 {
     workload::TraceChunk chunk;
     chunk.clear();
@@ -141,42 +139,55 @@ TEST(BatchIdentity, ChunkWrappersGatherValueLanes)
             producing.push_back(i);
     }
 
+    constexpr uint32_t cap = workload::TraceChunk::capacity;
+    std::vector<uint64_t> pcs(cap);
+    std::vector<int64_t> values(cap);
+    std::vector<uint32_t> records(cap);
+    const uint32_t lanes = predictors::gatherValueLanes(
+        chunk, chunk.size, pcs.data(), values.data(), records.data());
+    ASSERT_EQ(lanes, producing.size());
+    for (uint32_t l = 0; l < lanes; ++l) {
+        ASSERT_EQ(records[l], producing[l]);
+        ASSERT_EQ(pcs[l], chunk.pc[producing[l]]);
+        ASSERT_EQ(values[l], chunk.value[producing[l]]);
+    }
+
+    // predictUpdateBatch with explicit actuals (the address-study
+    // path) trains on the supplied values, not the chunk column.
+    std::vector<int64_t> addrs(lanes);
+    for (uint32_t l = 0; l < lanes; ++l)
+        addrs[l] = static_cast<int64_t>(0x80000 + 64 * l);
     predictors::StridePredictor batch(0);
     predictors::StridePredictor scalar(0);
     predictors::PredictionBatch out;
-    batch.predictUpdateChunk(chunk, out);
-
-    ASSERT_EQ(out.lanes(), producing.size());
-    ASSERT_EQ(out.record.size(), producing.size());
-    for (size_t l = 0; l < producing.size(); ++l) {
-        const uint32_t i = producing[l];
-        ASSERT_EQ(out.record[l], i);
+    batch.predictUpdateBatch(pcs.data(), addrs.data(), lanes, out);
+    ASSERT_EQ(out.lanes(), lanes);
+    for (uint32_t l = 0; l < lanes; ++l) {
         int64_t v = 0;
-        bool p = scalar.predict(chunk.pc[i], v);
+        bool p = scalar.predict(pcs[l], v);
         ASSERT_EQ(p, out.predicted[l] != 0) << "lane " << l;
         if (p)
             ASSERT_EQ(v, out.value[l]) << "lane " << l;
-        scalar.update(chunk.pc[i], chunk.value[i]);
+        scalar.update(pcs[l], addrs[l]);
     }
-
-    // updateChunk with an explicit actuals span (the address-study
-    // path) trains on the supplied values, not the chunk column.
-    std::vector<int64_t> addrs(producing.size());
-    for (size_t l = 0; l < addrs.size(); ++l)
-        addrs[l] = static_cast<int64_t>(0x80000 + 64 * l);
-    predictors::StridePredictor batch2(0);
-    predictors::StridePredictor scalar2(0);
-    batch2.updateChunk(chunk, addrs);
-    for (size_t l = 0; l < producing.size(); ++l)
-        scalar2.update(chunk.pc[producing[l]], addrs[l]);
-    for (size_t l = 0; l < producing.size(); ++l) {
+    for (uint32_t l = 0; l < lanes; ++l) {
         int64_t a = 0, b = 0;
-        bool pa = scalar2.predict(chunk.pc[producing[l]], a);
-        bool pb = batch2.predict(chunk.pc[producing[l]], b);
+        bool pa = scalar.predict(pcs[l], a);
+        bool pb = batch.predict(pcs[l], b);
         ASSERT_EQ(pa, pb);
         if (pa)
             ASSERT_EQ(a, b);
     }
+
+    // The limit cuts the chunk short.
+    const uint32_t limit = 100;
+    uint32_t below = 0;
+    while (below < producing.size() && producing[below] < limit)
+        ++below;
+    EXPECT_EQ(predictors::gatherValueLanes(chunk, limit, pcs.data(),
+                                           values.data(),
+                                           records.data()),
+              below);
 }
 
 TEST(BatchIdentity, ConfidenceEvaluateBatchMatchesScalar)

@@ -218,7 +218,8 @@ TEST(ArtifactTest, RoundTripsThroughTraceIoV2)
     std::string path = std::string(::testing::TempDir()) + "/" +
                        reproArtifactName("gdiff", 17);
     writeReproArtifact(path, stream);
-    std::vector<FuzzRecord> back = readReproArtifact(path);
+    std::vector<FuzzRecord> back;
+    ASSERT_TRUE(readReproArtifactOr(path, back));
     EXPECT_EQ(stream, back);
     EXPECT_EQ(streamDigest(stream), streamDigest(back));
     std::remove(path.c_str());

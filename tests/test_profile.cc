@@ -71,8 +71,8 @@ class FiniteSource : public workload::TraceSource
   public:
     explicit FiniteSource(uint64_t records) : remaining(records) {}
 
-    bool
-    fill(workload::TraceChunk &chunk) override
+    const workload::TraceChunk *
+    fillRef(workload::TraceChunk &chunk) override
     {
         chunk.clear();
         while (!chunk.full() && remaining > 0) {
@@ -84,7 +84,7 @@ class FiniteSource : public workload::TraceSource
             chunk.push(r);
             --remaining;
         }
-        return !chunk.empty();
+        return chunk.empty() ? nullptr : &chunk;
     }
 
   private:

@@ -374,8 +374,8 @@ class ColumnSource : public workload::TraceSource
     {
     }
 
-    bool
-    fill(workload::TraceChunk &chunk) override
+    const workload::TraceChunk *
+    fillRef(workload::TraceChunk &chunk) override
     {
         chunk.clear();
         while (!chunk.full() && pos < values.size()) {
@@ -389,7 +389,7 @@ class ColumnSource : public workload::TraceSource
             chunk.push(r);
             ++pos;
         }
-        return !chunk.empty();
+        return chunk.empty() ? nullptr : &chunk;
     }
 
   private:

@@ -130,8 +130,8 @@ TEST_F(SimdKernels, FirstEqualFindsSmallestIndex)
         auto rawA = randomLane(n, 83 + n);
         std::vector<int64_t> a(rawA.begin(), rawA.end());
         std::vector<int64_t> b(n);
-        for (size_t i = 0; i < n; ++i)
-            b[i] = a[i] + 1; // no match anywhere
+        for (size_t i = 0; i < n; ++i) // no match anywhere
+            b[i] = static_cast<int64_t>(static_cast<uint64_t>(a[i]) + 1);
         // Plant matches at every position in turn (and keep a later
         // duplicate match to prove the *first* index wins).
         for (size_t hit = 0; hit <= n; ++hit) {
@@ -196,7 +196,8 @@ TEST_F(SimdKernels, RandomizedParityFuzz)
         // misses.
         if (rng.below(2) == 0)
             for (size_t i = 1 + rng.below(n); i < n; ++i)
-                a[i] = a[i - 1] + static_cast<int64_t>(rng.below(5));
+                a[i] = static_cast<int64_t>(
+                    static_cast<uint64_t>(a[i - 1]) + rng.below(5));
 
         std::vector<int64_t> b = a;
         size_t flips = rng.below(n + 1);

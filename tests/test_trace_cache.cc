@@ -1,7 +1,7 @@
 /**
  * @file
- * Trace-layer tests: the chunked TraceSource API (fill() vs the
- * legacy per-record next() must yield the identical stream for every
+ * Trace-layer tests: the executor's chunk generator (fill() vs the
+ * per-record next() must yield the identical stream for every
  * built-in kernel), the shared TraceCache (exactly-once generation
  * per triple — including under concurrent acquires — LRU eviction
  * under a byte cap), the cached-vs-uncached sweep determinism
@@ -20,6 +20,7 @@
 
 #include "runner/runner.hh"
 #include "sim/profile.hh"
+#include "trace_records.hh"
 #include "workload/executor.hh"
 #include "workload/trace_cache.hh"
 #include "workload/workload.hh"
@@ -71,10 +72,10 @@ TEST(TraceChunkTest, PushRecordRoundTripsAndDerivesFlags)
 }
 
 /**
- * The core equivalence the whole refactor rests on: for every
- * built-in kernel, the chunked fill() stream is record-identical to
- * the legacy per-record next() stream. The budget spans a chunk
- * boundary so block stitching is exercised.
+ * The core equivalence the chunked trace layer rests on: for every
+ * built-in kernel, the executor's chunked fill() stream is
+ * record-identical to its per-record next() stream. The budget spans
+ * a chunk boundary so block stitching is exercised.
  */
 TEST(TraceChunkTest, FillMatchesPerRecordNextForEveryKernel)
 {
@@ -110,26 +111,26 @@ TEST(MaterializedTraceTest, ReplayIsRecordIdenticalToRegeneration)
 
     CachedTraceSource replay(trace);
     auto fresh = makeWorkload("micro.pairsum", 7).makeExecutor();
-    TraceRecord a, b;
+    std::vector<TraceRecord> replayed = drainRecords(replay);
+    ASSERT_EQ(replayed.size(), records)
+        << "replay must stop exactly at the budget";
+    TraceRecord b;
     for (uint64_t i = 0; i < records; ++i) {
-        ASSERT_TRUE(replay.next(a)) << "replay ended early at " << i;
         ASSERT_TRUE(fresh->next(b));
-        expectRecordEq(a, b, "replay-vs-fresh");
+        expectRecordEq(replayed[i], b, "replay-vs-fresh");
     }
-    EXPECT_FALSE(replay.next(a)) << "replay must stop at the budget";
 }
 
 TEST(MaterializedTraceTest, RewindReplaysFromTheFirstRecord)
 {
     auto trace = MaterializedTrace::generate("micro.stride", 1, 5000);
     CachedTraceSource replay(trace);
-    TraceRecord first, r;
-    ASSERT_TRUE(replay.next(first));
-    while (replay.next(r)) {
-    }
+    std::vector<TraceRecord> first = drainRecords(replay);
+    ASSERT_FALSE(first.empty());
     replay.rewind();
-    ASSERT_TRUE(replay.next(r));
-    expectRecordEq(r, first, "rewind");
+    std::vector<TraceRecord> again = drainRecords(replay, 1);
+    ASSERT_EQ(again.size(), 1u);
+    expectRecordEq(again[0], first[0], "rewind");
 }
 
 // ------------------------------------------------------- trace cache
@@ -183,12 +184,12 @@ TEST(TraceCacheTest, ConcurrentAcquiresGenerateExactlyOnce)
               static_cast<uint64_t>(nThreads - 1));
 
     // Every thread got a working, independent replay cursor.
-    TraceRecord ref;
-    ASSERT_TRUE(sources[0]->next(ref));
+    std::vector<TraceRecord> ref = drainRecords(*sources[0], 1);
+    ASSERT_EQ(ref.size(), 1u);
     for (int t = 1; t < nThreads; ++t) {
-        TraceRecord r;
-        ASSERT_TRUE(sources[t]->next(r)) << "thread " << t;
-        expectRecordEq(r, ref, "concurrent replay");
+        std::vector<TraceRecord> r = drainRecords(*sources[t], 1);
+        ASSERT_EQ(r.size(), 1u) << "thread " << t;
+        expectRecordEq(r[0], ref[0], "concurrent replay");
     }
 }
 
@@ -215,8 +216,7 @@ TEST(TraceCacheTest, LruEvictionHonoursByteCap)
     // shared_ptr keeps the buffer alive past eviction.
     auto held = cache.acquire("micro.stride", 3, 1000);
     cache.acquire("micro.stride", 4, 1000); // evicts seed 3's entry
-    TraceRecord r;
-    EXPECT_TRUE(held.source->next(r));
+    EXPECT_EQ(drainRecords(*held.source).size(), 1000u);
 
     cache.clear();
     EXPECT_EQ(cache.snapshot().entries, 0u);

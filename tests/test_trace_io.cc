@@ -16,6 +16,7 @@
 
 #include "core/gdiff.hh"
 #include "sim/profile.hh"
+#include "trace_records.hh"
 #include "workload/trace_io.hh"
 #include "workload/workload.hh"
 
@@ -50,10 +51,10 @@ TEST(TraceIo, RoundTripPreservesRecords)
 
     TraceFileSource src(path);
     EXPECT_EQ(src.totalRecords(), original.size());
-    TraceRecord r;
-    size_t i = 0;
-    while (src.next(r)) {
-        ASSERT_LT(i, original.size());
+    std::vector<TraceRecord> replayed = drainRecords(src);
+    ASSERT_EQ(replayed.size(), original.size());
+    for (size_t i = 0; i < original.size(); ++i) {
+        const TraceRecord &r = replayed[i];
         const TraceRecord &o = original[i];
         EXPECT_EQ(r.seq, o.seq);
         EXPECT_EQ(r.pc, o.pc);
@@ -67,9 +68,7 @@ TEST(TraceIo, RoundTripPreservesRecords)
         EXPECT_EQ(r.inst.rs2, o.inst.rs2);
         EXPECT_EQ(r.inst.imm, o.inst.imm);
         EXPECT_EQ(r.inst.target, o.inst.target);
-        ++i;
     }
-    EXPECT_EQ(i, original.size());
     std::remove(path.c_str());
 }
 
@@ -122,16 +121,16 @@ TEST(TraceIo, RewindReplaysFromTheTop)
             writer.append(r);
     }
     TraceFileSource src(path);
-    TraceRecord first;
-    ASSERT_TRUE(src.next(first));
-    TraceRecord r;
-    while (src.next(r)) {
-    }
+    std::vector<TraceRecord> first = drainRecords(src);
+    ASSERT_EQ(first.size(), 100u);
     src.rewind();
-    TraceRecord again;
-    ASSERT_TRUE(src.next(again));
-    EXPECT_EQ(again.seq, first.seq);
-    EXPECT_EQ(again.pc, first.pc);
+    std::vector<TraceRecord> again = drainRecords(src);
+    ASSERT_EQ(again.size(), first.size());
+    for (size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(again[i].seq, first[i].seq);
+        EXPECT_EQ(again[i].pc, first[i].pc);
+        EXPECT_EQ(again[i].value, first[i].value);
+    }
     std::remove(path.c_str());
 }
 
@@ -139,6 +138,32 @@ TEST(TraceIoDeath, MissingFileIsFatal)
 {
     EXPECT_EXIT(TraceFileSource src("/nonexistent/nope.bin"),
                 ::testing::ExitedWithCode(1), "cannot open");
+}
+
+// The open path's status split: the persistent disk cache treats
+// IoError as a miss and quarantines everything else, so a missing
+// file must not look like a damaged one.
+TEST(TraceIo, OpenSeparatesMissingFromTruncated)
+{
+    TraceFileReader reader;
+    EXPECT_EQ(reader.open("/nonexistent/nope.gdtr").status,
+              TraceIoStatus::IoError);
+
+    std::string path = tempPath("short");
+    const uint8_t header[16] = {'G', 'D', 'T', 'R', 3};
+    for (size_t len : {size_t(0), size_t(1), size_t(15)}) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(header, 1, len, f), len);
+        std::fclose(f);
+        TraceIoResult res = reader.open(path);
+        EXPECT_EQ(res.status, TraceIoStatus::Truncated)
+            << len << " bytes: " << res.message;
+        // A failed open leaves the reader closed.
+        auto chunk = std::make_unique<TraceChunk>();
+        EXPECT_EQ(reader.read(*chunk).status, TraceIoStatus::IoError);
+    }
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------- version matrix
@@ -292,13 +317,8 @@ TEST(TraceIoDeath, TruncatedFileIsFatal)
         ASSERT_EQ(0, truncate(path.c_str(), size - 32));
     }
     TraceFileSource src(path);
-    TraceRecord r;
-    EXPECT_EXIT(
-        {
-            while (src.next(r)) {
-            }
-        },
-        ::testing::ExitedWithCode(1), "truncated");
+    EXPECT_EXIT(drainRecords(src), ::testing::ExitedWithCode(1),
+                "truncated");
     std::remove(path.c_str());
 }
 

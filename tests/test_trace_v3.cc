@@ -7,13 +7,14 @@
  *
  *  - round-trip property grid: kernel x seed x record-count
  *    (including empty, single-record, and non-chunk-multiple
- *    lengths) through both formats and both reader APIs;
+ *    lengths) through both formats;
  *  - corruption fuzz: seeded byte flips and truncations at every
  *    region of a v3 file (header, block directory, varint payload,
  *    footer) must yield clean typed errors — never a crash, an OOM,
  *    or a silently wrong stream (run under ASan/UBSan in CI);
  *  - persistent disk cache: corrupt entries are quarantined and
- *    regenerated; eviction honours the byte cap; a *different
+ *    regenerated; a failed store leaves the process running;
+ *    eviction honours the byte cap; a *different
  *    process* (fork) can populate the cache and this one replays it
  *    bit-identically, including under concurrent writers racing on
  *    the same entry;
@@ -41,6 +42,7 @@
 #include "runner/runner.hh"
 #include "runner/sinks.hh"
 #include "sim/profile.hh"
+#include "trace_records.hh"
 #include "util/varint.hh"
 #include "workload/trace_cache.hh"
 #include "workload/trace_disk_cache.hh"
@@ -122,31 +124,22 @@ slurp(const std::string &path)
     return bytes;
 }
 
+void
+spit(const std::string &path, const std::vector<uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    if (!bytes.empty()) // data() of an empty vector may be null
+        EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+    std::fclose(f);
+}
+
 /**
- * Decode an in-memory trace image to the end.
+ * Decode the trace file at @p path to the end.
  * @return the terminal status; decoded records in @p out (valid only
  * when the stream ended cleanly).
  */
-TraceIoResult
-decodeImage(const std::vector<uint8_t> &image,
-            std::vector<TraceRecord> *out = nullptr)
-{
-    TraceBufferReader reader;
-    TraceIoResult res = reader.open(image.data(), image.size());
-    if (res.failed())
-        return res;
-    auto chunk = std::make_unique<TraceChunk>();
-    for (;;) {
-        res = reader.read(*chunk);
-        if (!res.ok())
-            return res;
-        if (out)
-            for (uint32_t i = 0; i < chunk->size; ++i)
-                out->push_back(chunk->record(i));
-    }
-}
-
-/** Same, streaming from a file through TraceFileReader. */
 TraceIoResult
 decodeFile(const std::string &path,
            std::vector<TraceRecord> *out = nullptr,
@@ -165,6 +158,18 @@ decodeFile(const std::string &path,
             for (uint32_t i = 0; i < chunk->size; ++i)
                 out->push_back(chunk->record(i));
     }
+}
+
+/** Write @p image to a scratch file and decode it (see decodeFile). */
+TraceIoResult
+decodeImage(const std::vector<uint8_t> &image,
+            std::vector<TraceRecord> *out = nullptr)
+{
+    std::string path = tempRoot("image") + ".gdtr";
+    spit(path, image);
+    TraceIoResult res = decodeFile(path, out);
+    std::remove(path.c_str());
+    return res;
 }
 
 void
@@ -252,21 +257,6 @@ TEST(TraceV3RoundTrip, ChunkAndRecordAppendProduceIdenticalBytes)
     std::remove(b.c_str());
 }
 
-TEST(TraceV3RoundTrip, BufferAndFileReadersAgree)
-{
-    auto records = generateRecords("micro.affine", 5, 6000);
-    std::string path = tempRoot("readers") + ".gdtr";
-    writeRecords(path, records, traceVersionV3);
-
-    std::vector<TraceRecord> viaFile, viaBuffer;
-    EXPECT_TRUE(decodeFile(path, &viaFile).end());
-    std::vector<uint8_t> image = slurp(path);
-    EXPECT_TRUE(decodeImage(image, &viaBuffer).end());
-    expectSameRecords(viaFile, records, "file reader");
-    expectSameRecords(viaBuffer, records, "buffer reader");
-    std::remove(path.c_str());
-}
-
 // ------------------------------------------------- corruption fuzz
 
 /**
@@ -332,11 +322,7 @@ TEST(TraceV3Corruption, FileReaderSurvivesFlipsToo)
     for (size_t off = 0; off < image.size(); off += 97) {
         std::vector<uint8_t> bad = image;
         bad[off] ^= 0x40;
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(bad.data(), 1, bad.size(), f),
-                  bad.size());
-        std::fclose(f);
+        spit(path, bad);
 
         std::vector<TraceRecord> got;
         TraceIoResult res = decodeFile(path, &got);
@@ -464,13 +450,7 @@ TEST(DiskTraceCache, CorruptEntryQuarantinedAndRegenerated)
     std::vector<uint8_t> bytes = slurp(entry);
     ASSERT_GT(bytes.size(), 64u);
     bytes[bytes.size() / 2] ^= 0x01;
-    {
-        std::FILE *f = std::fopen(entry.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                  bytes.size());
-        std::fclose(f);
-    }
+    spit(entry, bytes);
 
     // A fresh cache (fresh process, logically) detects the damage,
     // quarantines the entry, regenerates, and re-persists.
@@ -496,6 +476,50 @@ TEST(DiskTraceCache, CorruptEntryQuarantinedAndRegenerated)
         EXPECT_FALSE(acq.generated);
         EXPECT_TRUE(acq.fromDisk);
     }
+    removeTree(root);
+}
+
+TEST(DiskTraceCache, StoreSurvivesARemovedRoot)
+{
+    // Stores run on sweep and gdiffd worker threads: a cache root
+    // that vanishes after first use (or a full disk) must cost the
+    // entry, not the process.
+    std::string root = tempRoot("vanished");
+    DiskTraceCache::Config cfg;
+    cfg.root = root;
+    DiskTraceCache disk(cfg);
+    EXPECT_EQ(disk.load("micro.stride", 1, 3000), nullptr); // makes root
+    removeTree(root);
+
+    auto trace = MaterializedTrace::generate("micro.stride", 1, 3000);
+    disk.store("micro.stride", 1, 3000, *trace);
+    EXPECT_EQ(disk.snapshot().stores, 0u);
+    EXPECT_EQ(disk.load("micro.stride", 1, 3000), nullptr);
+    struct stat st;
+    EXPECT_NE(::stat(root.c_str(), &st), 0) << "store recreated the root";
+    removeTree(root);
+}
+
+TEST(DiskTraceCache, EmptyEntryIsQuarantinedNotAMiss)
+{
+    // A missing entry is a plain miss; an entry that exists but is
+    // unreadable — here an empty file — is corrupt.
+    std::string root = tempRoot("empty");
+    DiskTraceCache::Config cfg;
+    cfg.root = root;
+    DiskTraceCache disk(cfg);
+    EXPECT_EQ(disk.load("micro.stride", 1, 3000), nullptr);
+    EXPECT_EQ(disk.snapshot().corruptRecoveries, 0u);
+
+    std::string entry =
+        root + "/" + DiskTraceCache::entryName("micro.stride", 1, 3000);
+    spit(entry, {});
+    EXPECT_EQ(disk.load("micro.stride", 1, 3000), nullptr);
+    DiskTraceCache::Stats s = disk.snapshot();
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.corruptRecoveries, 1u);
+    struct stat st;
+    EXPECT_EQ(::stat((entry + ".corrupt").c_str(), &st), 0);
     removeTree(root);
 }
 
@@ -559,11 +583,8 @@ TEST(DiskTraceCacheCrossProcess, ChildPopulatesParentReplays)
 
     // Bit-identical to a from-scratch generation.
     auto want = generateRecords(kernel, 11, 8000);
-    std::vector<TraceRecord> got;
-    TraceRecord r;
-    while (acq.source->next(r))
-        got.push_back(r);
-    expectSameRecords(got, want, "cross-process replay");
+    expectSameRecords(drainRecords(*acq.source), want,
+                      "cross-process replay");
     removeTree(root);
 }
 
@@ -605,11 +626,8 @@ TEST(DiskTraceCacheCrossProcess, ConcurrentWritersRaceSafely)
     auto acq = cache.acquire(kernel, 21, 6000);
     EXPECT_TRUE(acq.fromDisk);
     auto want = generateRecords(kernel, 21, 6000);
-    std::vector<TraceRecord> got;
-    TraceRecord r;
-    while (acq.source->next(r))
-        got.push_back(r);
-    expectSameRecords(got, want, "post-race replay");
+    expectSameRecords(drainRecords(*acq.source), want,
+                      "post-race replay");
     removeTree(root);
 }
 
