@@ -70,7 +70,7 @@ usage(const char *argv0)
         "  --mutate       corrupt each oracle on purpose; expect the\n"
         "                 harness to catch and shrink the divergence\n"
         "  --batch        also replay the stream scalar-vs-batch\n"
-        "                 through every batched predictor family\n"
+        "                 through every production predictor family\n"
         "  --replay=FILE  diff a repro artifact instead of fuzzing\n"
         "  --out-dir=DIR  where repro artifacts go (default .)\n"
         "  --no-pipeline  skip the pipeline invariant phase\n"
@@ -133,6 +133,21 @@ parse(int argc, char **argv)
     }
     if (o.pairs.empty())
         o.pairs = check::pairNames();
+    // Every family the run builds must accept --order: reject a bad
+    // one here, by name, before any predictor is constructed.
+    std::vector<std::string> families = o.pairs;
+    if (o.batch) {
+        const auto &batch = check::batchFamilyNames();
+        families.insert(families.end(), batch.begin(), batch.end());
+    }
+    for (const auto &family : families) {
+        std::string error;
+        if (!check::checkOrder(family, o.order, error)) {
+            std::fprintf(stderr, "gdifffuzz: --order=%u: %s\n",
+                         o.order, error.c_str());
+            std::exit(2);
+        }
+    }
     return o;
 }
 

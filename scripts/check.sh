@@ -50,12 +50,12 @@ cmp build/warm1.sorted build/warm2.sorted || {
 # per-trial checksum identity between the two paths.
 ./build/bench/perf_predictors --require-batch-speedup=2 \
     --json=build/BENCH_batch_predictors.json
-# Batch identity fuzz: scalar-vs-batch differ over every batched
+# Batch identity fuzz: scalar-vs-batch differ over every production
 # family, under both kernel sets (forced-scalar first).
 GDIFF_SIMD=scalar ./build/examples/gdifffuzz --cases=1500 --seed=5 \
     --batch --no-pipeline
 ./build/examples/gdifffuzz --cases=1500 --seed=5 --batch --no-pipeline
-# The golden-number suite pins Table 2 / Fig. 19 against
+# The golden-number suite pins Table 2 / Fig. 18 / Fig. 19 against
 # tests/golden/; any model drift fails here with a value diff
 # (regenerate deliberately with: test_paper_golden --update-golden).
 ./build/tests/test_paper_golden

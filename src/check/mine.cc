@@ -61,7 +61,7 @@ parseSide(const std::string &text, MineSide &out, std::string &error)
     size_t at = spec.find('@');
     if (at != std::string::npos) {
         std::string digits = spec.substr(at + 1);
-        if (digits.empty() ||
+        if (digits.empty() || digits.size() > 9 ||
             digits.find_first_not_of("0123456789") !=
                 std::string::npos) {
             error = "bad order in '" + text + "'";
@@ -75,6 +75,10 @@ parseSide(const std::string &text, MineSide &out, std::string &error)
         error = std::string(out.oracle ? "unknown oracle family '"
                                        : "unknown family '") +
                 out.family + "' in '" + text + "'";
+        return false;
+    }
+    if (!checkOrder(out.family, out.order, error)) {
+        error += " in '" + text + "'";
         return false;
     }
     return true;

@@ -362,5 +362,27 @@ makeProduction(const std::string &name, unsigned order)
     return nullptr;
 }
 
+bool
+checkOrder(const std::string &name, unsigned order, std::string &error)
+{
+    unsigned lo = 1, hi = 0; // hi == 0: the family ignores the order
+    if (name == "fcm" || name == "dfcm") {
+        hi = 4;
+    } else if (name == "gfcm") {
+        hi = 8;
+    } else if (name == "gdiff") {
+        hi = core::maxOrder;
+    } else if (name == "gdiff2") {
+        lo = core::gdiff2MinOrder;
+        hi = core::gdiff2MaxOrder;
+    }
+    if (order == 0 || hi == 0 || (order >= lo && order <= hi))
+        return true;
+    error = "order " + std::to_string(order) + " is out of range " +
+            std::to_string(lo) + ".." + std::to_string(hi) + " for " +
+            name;
+    return false;
+}
+
 } // namespace check
 } // namespace gdiff

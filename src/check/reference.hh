@@ -263,8 +263,9 @@ const std::vector<std::string> &pairNames();
 PredictorPair makePair(const std::string &name, unsigned order = 0);
 
 /**
- * @return every production family with a batched implementation —
- * the universe of the scalar-vs-batch differ (diffScalarVsBatch):
+ * @return every production family — the universe of the
+ * scalar-vs-batch differ (diffScalarVsBatch), so a family that gains
+ * a fused predictUpdateBatch() is checked without being listed again:
  * last_value, last_n, stride, pi, fcm, dfcm, gfcm, hybrid, gdiff,
  * gdiff2.
  */
@@ -283,6 +284,21 @@ const std::vector<std::string> &batchFamilyNames();
  */
 std::unique_ptr<predictors::ValuePredictor>
 makeProduction(const std::string &name, unsigned order = 0);
+
+/**
+ * Check @p order against the range makePair() and makeProduction()
+ * accept for family @p name: fcm and dfcm 1..4, gfcm 1..8, gdiff
+ * 1..core::maxOrder, gdiff2 core::gdiff2MinOrder..gdiff2MaxOrder.
+ * Families that ignore the order accept any value, and 0 (the family
+ * default) always passes. Orders from a command line go through this
+ * before any predictor is built.
+ *
+ * @param error set to "order N is out of range LO..HI for NAME" on
+ *        failure.
+ * @return true if the order is usable.
+ */
+bool checkOrder(const std::string &name, unsigned order,
+                std::string &error);
 
 } // namespace check
 } // namespace gdiff

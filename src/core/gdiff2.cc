@@ -185,40 +185,6 @@ GDiff2Predictor::update(uint64_t pc, int64_t actual)
     gvq.push(actual);
 }
 
-void
-GDiff2Predictor::predictUpdateBatch(const uint64_t *pcs,
-                                    const int64_t *actuals, uint32_t n,
-                                    predictors::PredictionBatch &out)
-{
-    out.reset(n);
-    extScratch.resize(static_cast<size_t>(cfg.order) + n);
-    const size_t h = gvq.copyRecent(extScratch.data());
-    for (uint32_t l = 0; l < n; ++l)
-        extScratch[h + l] = actuals[l];
-    const int64_t *const ext = extScratch.data();
-
-    ValueWindow &w = window;
-    for (uint32_t l = 0; l < n; ++l) {
-        const size_t have = h + l;
-        w.count = static_cast<unsigned>(
-            have < cfg.order ? have : cfg.order);
-        if (w.count > 0) {
-            const int64_t *wtop = ext + (h + l - 1);
-            for (unsigned k = 0; k < w.count; ++k)
-                w.values[k] = wtop[-static_cast<ptrdiff_t>(k)];
-        }
-        int64_t v = 0;
-        if (predictWithWindow(pcs[l], w, v)) {
-            out.predicted[l] = 1;
-            out.value[l] = v;
-        }
-        trainWithWindow(pcs[l], w, actuals[l]);
-    }
-
-    for (uint32_t l = 0; l < n; ++l)
-        gvq.push(actuals[l]);
-}
-
 double
 GDiff2Predictor::pairSelectionRate() const
 {

@@ -63,15 +63,6 @@ class GDiff2Predictor : public predictors::ValuePredictor
     bool predict(uint64_t pc, int64_t &value) override;
     void update(uint64_t pc, int64_t actual) override;
 
-    /**
-     * Fused batch over the internal queue: one linearization of the
-     * queue plus the batch's actuals replaces the two per-record ring
-     * walks (predict + train each rebuilt the visible window).
-     */
-    void predictUpdateBatch(const uint64_t *pcs,
-                            const int64_t *actuals, uint32_t n,
-                            predictors::PredictionBatch &out) override;
-
     /// @name External-window interface (mirrors GDiffPredictor)
     /// @{
     bool predictWithWindow(uint64_t pc, const ValueWindow &window,
@@ -107,10 +98,9 @@ class GDiff2Predictor : public predictors::ValuePredictor
     GDiff2Config cfg;
     predictors::PcIndexedTable<Entry> table;
     GlobalValueQueue gvq;
-    ValueWindow window; ///< refilled per scalar query and batch lane
+    ValueWindow window; ///< refilled per scalar query
     uint64_t singleSelections = 0;
     uint64_t pairSelections = 0;
-    std::vector<int64_t> extScratch; ///< batch: linearized stream
 };
 
 } // namespace core

@@ -35,10 +35,6 @@ OooPipeline::OooPipeline(const PipelineConfig &config, VpScheme &s)
 void
 OooPipeline::drainWritebacksBefore(uint64_t cycle, PipelineStats &stats)
 {
-    // Collect the completion-order run, then train the scheme with
-    // one batched call (schemes wrapping batch-capable predictors
-    // update chunk-at-a-time).
-    drainScratch.clear();
     while (!pending.empty() && pending.top().first < cycle) {
         const PendingWriteback &wb =
             pendingPayload[pending.top().second & pendingMask];
@@ -48,12 +44,7 @@ OooPipeline::drainWritebacksBefore(uint64_t cycle, PipelineStats &stats)
             stats.valueDelay.record(producerWritebacks -
                                     wb.producedAtDispatch);
         }
-        drainScratch.push_back({wb.pc, wb.decision, wb.value});
-    }
-    if (!drainScratch.empty()) {
-        scheme.writebackBatch(
-            drainScratch.data(),
-            static_cast<uint32_t>(drainScratch.size()));
+        scheme.writeback(wb.pc, wb.decision, wb.value);
     }
 }
 

@@ -166,8 +166,6 @@ class OooPipeline
     std::vector<PendingWriteback> pendingPayload;
     size_t pendingMask;
 
-    std::vector<WritebackItem> drainScratch; ///< batched drain run
-
     uint64_t producerWritebacks = 0; ///< count of applied producer wbs
 };
 

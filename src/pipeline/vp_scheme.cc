@@ -37,38 +37,6 @@ VpScheme::writeback(uint64_t pc, const VpDecision &d, int64_t actual)
     doWriteback(pc, d, actual);
 }
 
-void
-VpScheme::writebackBatch(const WritebackItem *items, uint32_t n)
-{
-    // Phase 1 — bookkeeping. Within a drain batch nothing reads the
-    // in-flight counts or the confidence table (both are next read at
-    // predictAtDispatch), so applying every item's bookkeeping before
-    // any scheme training is indistinguishable from the interleaved
-    // scalar order.
-    for (uint32_t l = 0; l < n; ++l) {
-        const WritebackItem &it = items[l];
-        if (uint32_t &outstanding = inflight.lookup(it.pc);
-            outstanding > 0)
-            --outstanding;
-        if (it.decision.predicted) {
-            bool correct = (it.decision.value == it.actual);
-            accRaw.record(correct);
-            if (it.decision.confident)
-                accGated.record(correct);
-            conf.train(it.pc, correct);
-        }
-    }
-    // Phase 2 — scheme training, in completion order.
-    doWritebackBatch(items, n);
-}
-
-void
-VpScheme::doWritebackBatch(const WritebackItem *items, uint32_t n)
-{
-    for (uint32_t l = 0; l < n; ++l)
-        doWriteback(items[l].pc, items[l].decision, items[l].actual);
-}
-
 // --------------------------------------------------------- LocalScheme
 
 LocalScheme::LocalScheme(
@@ -90,18 +58,6 @@ void
 LocalScheme::doWriteback(uint64_t pc, const VpDecision &, int64_t actual)
 {
     inner->update(pc, actual);
-}
-
-void
-LocalScheme::doWritebackBatch(const WritebackItem *items, uint32_t n)
-{
-    pcScratch.resize(n);
-    actualScratch.resize(n);
-    for (uint32_t l = 0; l < n; ++l) {
-        pcScratch[l] = items[l].pc;
-        actualScratch[l] = items[l].actual;
-    }
-    inner->updateBatch(pcScratch.data(), actualScratch.data(), n);
 }
 
 // ---------------------------------------------------------- SgvqScheme

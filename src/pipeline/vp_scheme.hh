@@ -4,8 +4,10 @@
  *
  * A scheme answers dispatch-time prediction queries and is trained at
  * writeback time (in completion order, exactly as the hardware would
- * be). The base class owns the paper's 3-bit confidence mechanism and
- * the coverage/accuracy bookkeeping used by Figs. 13 and 16:
+ * be), with one writeback() call per completed instruction: the
+ * timing model's drain is not batched. The base class owns the
+ * paper's 3-bit confidence mechanism and the coverage/accuracy
+ * bookkeeping used by Figs. 13 and 16:
  *
  *  - coverage  = confident predictions / value-producing instructions
  *  - accuracy  = correct confident predictions / confident predictions
@@ -49,14 +51,6 @@ struct VpDecision
     uint64_t token = 0;     ///< scheme-private (e.g. HGVQ slot id)
 };
 
-/** One completed instruction handed to a batched writeback drain. */
-struct WritebackItem
-{
-    uint64_t pc = 0;
-    VpDecision decision;
-    int64_t actual = 0;
-};
-
 /** Base class: confidence gating + statistics. */
 class VpScheme
 {
@@ -80,17 +74,6 @@ class VpScheme
      */
     void writeback(uint64_t pc, const VpDecision &d, int64_t actual);
 
-    /**
-     * Batched writeback drain: items are a contiguous run of
-     * completion-order writebacks with no interleaved dispatches, so
-     * the per-item bookkeeping (in-flight counts, accuracy stats,
-     * confidence training — none of it read again until the next
-     * dispatch) can run as one pass, followed by one scheme-level
-     * training pass (doWritebackBatch). Equivalent to calling
-     * writeback() per item in order.
-     */
-    void writebackBatch(const WritebackItem *items, uint32_t n);
-
     /// @name Statistics (paper Figs. 13/16 metrics)
     /// @{
     const stats::Ratio &coverage() const { return cov; }
@@ -112,14 +95,6 @@ class VpScheme
     /** Scheme-specific training at writeback. */
     virtual void doWriteback(uint64_t pc, const VpDecision &d,
                              int64_t actual) = 0;
-
-    /**
-     * Scheme-specific batched training. Default: doWriteback per
-     * item, in order. Schemes wrapping a batch-capable predictor
-     * override this to train chunk-at-a-time.
-     */
-    virtual void doWritebackBatch(const WritebackItem *items,
-                                  uint32_t n);
 
   private:
     predictors::ConfidenceTable conf;
@@ -164,14 +139,10 @@ class LocalScheme : public VpScheme
                    uint64_t &token) override;
     void doWriteback(uint64_t pc, const VpDecision &d,
                      int64_t actual) override;
-    void doWritebackBatch(const WritebackItem *items,
-                          uint32_t n) override;
 
   private:
     std::unique_ptr<predictors::ValuePredictor> inner;
     std::string display;
-    std::vector<uint64_t> pcScratch;    ///< batch training lanes
-    std::vector<int64_t> actualScratch; ///< batch training lanes
 };
 
 /** gdiff over the speculative GVQ (paper §4, Fig. 13). */

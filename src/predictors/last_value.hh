@@ -45,40 +45,6 @@ class LastValuePredictor : public ValuePredictor
         e.seen = true;
     }
 
-    /**
-     * Fused batch: one lookup() per lane, reading the entry before
-     * mutating it. A lookup-allocated fresh entry has seen=false, so
-     * the predict half matches the scalar probe exactly, and the
-     * single lookup per trained record matches the scalar
-     * probe-then-lookup counter trail.
-     */
-    void
-    predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,
-                       uint32_t n, PredictionBatch &out) override
-    {
-        out.reset(n);
-        for (uint32_t l = 0; l < n; ++l) {
-            Entry &e = table.lookup(pcs[l]);
-            if (e.seen) {
-                out.predicted[l] = 1;
-                out.value[l] = e.last;
-            }
-            e.last = actuals[l];
-            e.seen = true;
-        }
-    }
-
-    void
-    updateBatch(const uint64_t *pcs, const int64_t *actuals,
-                uint32_t n) override
-    {
-        for (uint32_t l = 0; l < n; ++l) {
-            Entry &e = table.lookup(pcs[l]);
-            e.last = actuals[l];
-            e.seen = true;
-        }
-    }
-
   private:
     struct Entry
     {

@@ -57,39 +57,6 @@ class PiPredictor : public ValuePredictor
         haveGlobal = true;
     }
 
-    /**
-     * Fused batch: hoists the global last-value into locals and does
-     * one lookup() per lane (predict reads the entry pre-mutation).
-     */
-    void
-    predictUpdateBatch(const uint64_t *pcs, const int64_t *actuals,
-                       uint32_t n, PredictionBatch &out) override
-    {
-        out.reset(n);
-        int64_t g = lastGlobal;
-        bool haveG = haveGlobal;
-        for (uint32_t l = 0; l < n; ++l) {
-            Entry &e = table.lookup(pcs[l]);
-            const int64_t actual = actuals[l];
-            if (e.seen && haveG) {
-                out.predicted[l] = 1;
-                out.value[l] = static_cast<int64_t>(
-                    static_cast<uint64_t>(g) +
-                    static_cast<uint64_t>(e.diff));
-            }
-            if (haveG) {
-                e.diff = static_cast<int64_t>(
-                    static_cast<uint64_t>(actual) -
-                    static_cast<uint64_t>(g));
-                e.seen = true;
-            }
-            g = actual;
-            haveG = true;
-        }
-        lastGlobal = g;
-        haveGlobal = haveG;
-    }
-
   private:
     struct Entry
     {

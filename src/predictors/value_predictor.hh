@@ -10,17 +10,21 @@
  * OOO pipeline separates them by the real dispatch-to-writeback
  * latency, with in-flight instances in between).
  *
- * Five entry points: predict(), update() and predictAhead() per
- * record, and the two batch calls updateBatch() and
- * predictUpdateBatch(). The scalar pair is the semantic
- * specification. The hot consumers (sim/profile, the vp_scheme
- * training path) drive the *batch* protocol instead: whole lanes of
- * (pc, actual) pairs per call; sim/profile gathers them from a
- * workload::TraceChunk with gatherValueLanes(). Both batch calls
- * have a default that loops the scalar calls, so a new predictor
- * only ever implements predict()/update(); the hot families override
- * predictUpdateBatch() with fused single-lookup loops (see
- * docs/INTERNALS.md §10).
+ * Four entry points: predict(), update() and predictAhead() per
+ * record, and the batch call predictUpdateBatch(). The scalar pair is
+ * the semantic specification. The profile drivers (sim/profile) drive
+ * predictUpdateBatch() with whole lanes of (pc, actual) pairs per
+ * call, gathered from a workload::TraceChunk with gatherValueLanes();
+ * the pipeline's schemes call the scalar entry points. The default
+ * predictUpdateBatch() loops predict()/update(), so a new predictor
+ * only ever implements the scalar pair.
+ *
+ * A family keeps a fused predictUpdateBatch() only where a measured
+ * workload or gate runs it (docs/INTERNALS.md §10): stride, dfcm and
+ * gdiff, which the profile_sweep benchmark workload drives, and fcm,
+ * which perf_predictors' --require-batch-speedup gate measures. Every
+ * other family trains through the default loop.
+ *
  * Batched and scalar paths are required to be bit-identical —
  * src/check's scalar-vs-batch differ and the gdifffuzz --batch mode
  * police that the same way production-vs-oracle divergence is
@@ -107,23 +111,13 @@ class ValuePredictor
     }
 
     /// @name Batch protocol
-    /// Semantics are defined by the scalar calls: each batch entry
+    /// Semantics are defined by the scalar calls: the batch entry
     /// point must behave exactly as its default loop below. The fused
     /// form exists because the scalar protocol *interleaves* predict
     /// and update per record — prediction l must observe the training
     /// effect of lanes 0..l-1 — so a profitable batch implementation
     /// hoists table/state access per record, not per phase.
     /// @{
-
-    /**
-     * Train lanes 0..n-1 in order. Equivalent to n update() calls.
-     */
-    virtual void
-    updateBatch(const uint64_t *pcs, const int64_t *actuals, uint32_t n)
-    {
-        for (uint32_t l = 0; l < n; ++l)
-            update(pcs[l], actuals[l]);
-    }
 
     /**
      * The fused hot path: per lane l, predict for pcs[l], then train

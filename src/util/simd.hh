@@ -1,12 +1,13 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the batch prediction paths.
+ * Runtime-dispatched SIMD kernels.
  *
- * The batched predictor implementations (docs/INTERNALS.md §10) lean
- * on a handful of data-parallel passes: hashing a lane of PCs or
- * values with mix64, folding values to 16-bit history items, building
- * a lane of differences against a window, and finding the first
- * matching position among stored differences. Each pass has two
+ * Three data-parallel passes, each with a caller that a benchmark
+ * workload runs: diffAgainstWindow() builds a lane of differences
+ * against a window and firstEqual() finds the first matching position
+ * among stored differences (both in gdiff's fused batch loop,
+ * docs/INTERNALS.md §10); countSecondDiffZero() counts zero second
+ * differences for the stride-period scan. Each pass has two
  * implementations:
  *
  *  - a portable scalar loop, always compiled and always tested;
@@ -63,16 +64,6 @@ bool cpuSupportsAvx2();
  * fatal.
  */
 void setModeForTest(Mode m);
-
-/** mix64 (SplitMix64 finisher) over a lane: out[i] = mix64(in[i]). */
-void mix64Lane(const uint64_t *in, uint64_t *out, size_t n);
-
-/**
- * 16-bit history folds over a lane: out[i] = mix64(in[i]) & 0xffff —
- * the per-item fold the FCM-family history hashes are built from
- * (src/predictors/fcm.cc rollHistory, gfcm.hh).
- */
-void fold16Lane(const int64_t *in, uint16_t *out, size_t n);
 
 /**
  * Difference lane against a window stored newest-last: with wtop

@@ -1,15 +1,16 @@
 /**
  * @file
- * Batch-protocol identity tests: every batched entry point must be
+ * Batch-protocol identity tests: predictUpdateBatch() must be
  * bit-identical to the scalar predict()/update() specification.
  *
  * The heavy lifting is check::diffScalarVsBatch — the same machinery
- * gdifffuzz --batch drives — run here over every batched family, a
- * spread of chunk sizes (1 record, a prime, SIMD-width multiples, a
- * full trace chunk), and both SIMD kernel sets. The remaining tests
- * pin the protocol pieces the differ does not reach: update-only
- * batches, value-lane gathering with explicit actuals, the confidence
- * table's fused gate-and-train, and the Markov address predictor.
+ * gdifffuzz --batch drives — run here over every production family
+ * (those with a fused loop and those on the default), a spread of
+ * chunk sizes (1 record, a prime, SIMD-width multiples, a full trace
+ * chunk), and both SIMD kernel sets. The remaining tests pin the
+ * protocol pieces the differ does not reach: value-lane gathering
+ * with explicit actuals and the confidence table's fused
+ * gate-and-train.
  */
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 #include "check/fuzzer.hh"
 #include "check/reference.hh"
 #include "predictors/confidence.hh"
-#include "predictors/markov.hh"
 #include "predictors/stride.hh"
 #include "predictors/value_predictor.hh"
 #include "util/random.hh"
@@ -85,39 +85,6 @@ TEST(BatchIdentity, AllFamiliesAvx2)
 TEST(BatchIdentity, AllFamiliesScalarKernels)
 {
     diffAllFamilies(simd::Mode::Scalar);
-}
-
-// The differ exercises the fused predictUpdateBatch; updateBatch is a
-// separate virtual entry point with its own overrides, so pin it
-// directly against the scalar calls.
-TEST(BatchIdentity, UpdateBatchMatchesScalar)
-{
-    const auto stream = testStream(202, 4000);
-    std::vector<uint64_t> pcs;
-    std::vector<int64_t> vals;
-    for (const auto &r : stream) {
-        pcs.push_back(r.pc);
-        vals.push_back(r.value);
-    }
-    for (const auto &family : check::batchFamilyNames()) {
-        auto a = check::makeProduction(family);
-        auto b = check::makeProduction(family);
-        const uint32_t n = static_cast<uint32_t>(pcs.size());
-        // Train the first half, batch vs scalar.
-        a->updateBatch(pcs.data(), vals.data(), n / 2);
-        for (uint32_t l = 0; l < n / 2; ++l)
-            b->update(pcs[l], vals[l]);
-        // Predict-only over the second half: both must hold the same
-        // state, so every prediction matches.
-        for (uint32_t l = n / 2; l < n; ++l) {
-            int64_t va = 0, vb = 0;
-            bool pa = a->predict(pcs[l], va);
-            bool pb = b->predict(pcs[l], vb);
-            ASSERT_EQ(pa, pb) << family << " lane " << l;
-            if (pa)
-                ASSERT_EQ(va, vb) << family << " lane " << l;
-        }
-    }
 }
 
 // The profile drivers gather only the value-producing records of a
@@ -217,40 +184,6 @@ TEST(BatchIdentity, ConfidenceEvaluateBatchMatchesScalar)
     // Post-state identity: counters agree per PC.
     for (uint32_t k = 0; k < 64; ++k)
         ASSERT_EQ(a.level(0x2000 + k * 4), b.level(0x2000 + k * 4));
-}
-
-TEST(BatchIdentity, MarkovFusedBatchMatchesScalar)
-{
-    predictors::MarkovPredictor a(4096, 4);
-    predictors::MarkovPredictor b(4096, 4);
-    Xorshift64Star rng(23);
-    constexpr uint32_t kLanes = 4096;
-    // Address stream with recurring chains plus noise, chunked in
-    // awkward block sizes.
-    std::vector<uint64_t> addrs(kLanes);
-    for (uint32_t l = 0; l < kLanes; ++l) {
-        if (rng.next() & 1)
-            addrs[l] = 0x10000 + (l % 97) * 64;
-        else
-            addrs[l] = rng.next() & ~0x3full;
-    }
-    std::vector<uint8_t> hits(kLanes, 0);
-    std::vector<uint64_t> guesses(kLanes, 0);
-    for (uint32_t base = 0; base < kLanes;) {
-        uint32_t n = std::min<uint32_t>(77, kLanes - base);
-        a.predictUpdateBatch(addrs.data() + base, n,
-                             hits.data() + base,
-                             guesses.data() + base);
-        base += n;
-    }
-    for (uint32_t l = 0; l < kLanes; ++l) {
-        uint64_t guess = 0;
-        bool hit = b.predict(guess);
-        b.update(addrs[l]);
-        ASSERT_EQ(hit, hits[l] != 0) << "lane " << l;
-        if (hit)
-            ASSERT_EQ(guess, guesses[l]) << "lane " << l;
-    }
 }
 
 } // namespace

@@ -51,6 +51,15 @@ TEST(MineTarget, ParsesFamiliesOrdersAndOracles)
     EXPECT_EQ(t.right.family, "gdiff");
     EXPECT_EQ(t.right.order, 8u);
     EXPECT_EQ(t.name(), "gdiff@8-vs-ref:gdiff@8");
+
+    // Range ends are accepted; a family without an order takes any.
+    t = target("gdiff2@16-vs-ref:fcm@4");
+    EXPECT_EQ(t.left.order, 16u);
+    EXPECT_NE(t.left.build(), nullptr);
+    EXPECT_NE(t.right.build(), nullptr);
+    t = target("gdiff@64-vs-stride@999");
+    EXPECT_NE(t.left.build(), nullptr);
+    EXPECT_NE(t.right.build(), nullptr);
 }
 
 TEST(MineTarget, RejectsMalformedSpecs)
@@ -66,6 +75,18 @@ TEST(MineTarget, RejectsMalformedSpecs)
         check::parseMineTarget("gdiff@x-vs-gfcm", t, error));
     EXPECT_FALSE(
         check::parseMineTarget("ref:hybrid-vs-gdiff", t, error));
+
+    // An order the family cannot build is a parse error, not an
+    // assertion in its constructor.
+    EXPECT_FALSE(check::parseMineTarget("gdiff@65-vs-gfcm", t, error));
+    EXPECT_NE(error.find("order 65 is out of range 1..64 for gdiff"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(check::parseMineTarget("gdiff-vs-ref:fcm@5", t, error));
+    EXPECT_FALSE(check::parseMineTarget("gfcm@9-vs-gdiff", t, error));
+    EXPECT_FALSE(check::parseMineTarget("gdiff2@1-vs-gfcm", t, error));
+    EXPECT_FALSE(
+        check::parseMineTarget("gdiff@4294967297-vs-gfcm", t, error));
 }
 
 TEST(MineTarget, EverySideBuildsAFreshPredictor)

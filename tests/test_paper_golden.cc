@@ -2,10 +2,12 @@
  * @file
  * Golden-number regression suite for the paper's headline figures.
  *
- * Table 2 (baseline IPC of the 4-wide, 64-entry-window machine) and
+ * Table 2 (baseline IPC of the 4-wide, 64-entry-window machine),
  * Fig. 19 (speedup ratios of l_stride / l_context / gdiff(HGVQ) over
- * that baseline) are pinned, per kernel, against the checked-in JSON
- * under tests/golden. The simulator is integer-deterministic, so at a
+ * that baseline) and Fig. 18 (load-address coverage and accuracy of
+ * local stride, gdiff and the Markov pair, plus the D-cache miss
+ * rate, on a few kernels) are pinned, per kernel, against the
+ * checked-in JSON under tests/golden. The simulator is integer-deterministic, so at a
  * fixed budget every metric is bit-reproducible; any drift means a
  * model change, intentional or not.
  *
@@ -39,7 +41,11 @@
 #include <string>
 #include <vector>
 
+#include "core/gdiff.hh"
+#include "predictors/markov.hh"
+#include "predictors/stride.hh"
 #include "runner/runner.hh"
+#include "sim/profile.hh"
 #include "util/json.hh"
 #include "workload/workload.hh"
 
@@ -110,6 +116,58 @@ measured()
         for (const auto &scheme : kVpSchemes)
             out.hmean[scheme] =
                 static_cast<double>(n) / invSum.at(scheme);
+        return out;
+    }();
+    return m;
+}
+
+/// Fig. 18 kernels: a few of the ten keep the address pass quick.
+const std::vector<std::string> kFig18Kernels = {"gcc", "gzip", "mcf",
+                                                "twolf"};
+
+/// Fig. 18: kernel -> "series.metric" or "dcache_miss_rate" -> value
+using Fig18Measured =
+    std::map<std::string, std::map<std::string, double>>;
+
+/**
+ * The fig18_load_addresses configuration (its 256K-entry Markov pass)
+ * at this suite's budget: 4K-entry local stride and order-8 gdiff,
+ * then the Markov pair on all loads and on missing loads.
+ */
+const Fig18Measured &
+fig18Measured()
+{
+    static const Fig18Measured m = [] {
+        Fig18Measured out;
+        for (const auto &name : kFig18Kernels) {
+            predictors::StridePredictor ls(4096);
+            core::GDiffConfig gcfg;
+            gcfg.order = 8;
+            gcfg.tableEntries = 4096;
+            core::GDiffPredictor gs(gcfg);
+            predictors::MarkovPredictor all(256 * 1024, 4);
+            predictors::MarkovPredictor misses(256 * 1024, 4);
+
+            sim::ProfileConfig pcfg;
+            pcfg.maxInstructions = kInstructions;
+            pcfg.warmupInstructions = kWarmup;
+            sim::AddressProfileRunner runner(pcfg);
+            runner.addPredictor(ls);
+            runner.addPredictor(gs);
+            runner.setMarkov(all, misses);
+            workload::Workload w = workload::makeWorkload(name, kSeed);
+            auto exec = w.makeExecutor();
+            runner.run(*exec);
+
+            auto &row = out[name];
+            row["dcache_miss_rate"] = runner.dcacheMissRate();
+            for (const auto &s : runner.results()) {
+                row[s.name + ".coverageAll"] = s.coverageAll.value();
+                row[s.name + ".accuracyAll"] = s.accuracyAll.value();
+                row[s.name + ".coverageMiss"] = s.coverageMiss.value();
+                row[s.name + ".accuracyMiss"] = s.accuracyMiss.value();
+            }
+        }
         return out;
     }();
     return m;
@@ -351,6 +409,77 @@ TEST(PaperGolden, Fig19SpeedupRatios)
         entryOf(*golden, defTol, value, tol);
         expectGolden(file, "hmean[" + scheme + "]", value, tol,
                      m.hmean.at(scheme));
+    }
+}
+
+TEST(PaperGolden, Fig18AddressPredictability)
+{
+    const char *file = "fig18_addresses.json";
+    const Fig18Measured &m = fig18Measured();
+
+    if (updateGolden) {
+        std::ostringstream os;
+        os << "{\n" << budgetJson() << "  \"kernels\": {\n";
+        bool firstK = true;
+        for (const auto &[name, metrics] : m) {
+            os << (firstK ? "" : ",\n") << "    \"" << name << "\": {";
+            bool first = true;
+            for (const auto &[key, value] : metrics) {
+                os << (first ? "\n" : ",\n") << "      \"" << key
+                   << "\": " << fmt(value);
+                first = false;
+            }
+            os << "\n    }";
+            firstK = false;
+        }
+        os << "\n  }\n}\n";
+        writeGoldenFile(file, os.str());
+        return;
+    }
+
+    json::Value root = loadGoldenFile(file);
+    if (!root.isObject())
+        return;
+    checkBudget(file, root);
+    double defTol = root.at("default_tolerance").asNumber();
+
+    const json::Value &kernels = root.at("kernels");
+    // Every measured value must be pinned and match...
+    for (const auto &[name, metrics] : m) {
+        const json::Value *pinned = kernels.find(name);
+        if (!pinned) {
+            ADD_FAILURE() << file << " does not pin workload '" << name
+                          << "' — regenerate with --update-golden";
+            continue;
+        }
+        for (const auto &[key, got] : metrics) {
+            const json::Value *golden = pinned->find(key);
+            if (!golden) {
+                ADD_FAILURE() << file << " does not pin " << name
+                              << "." << key
+                              << " — regenerate with --update-golden";
+                continue;
+            }
+            double value, tol;
+            entryOf(*golden, defTol, value, tol);
+            expectGolden(file, name + "." + key, value, tol, got);
+        }
+    }
+    // ...and every pinned value must still be measured.
+    for (const auto &[name, metrics] : kernels.object) {
+        auto it = m.find(name);
+        if (it == m.end()) {
+            ADD_FAILURE() << file << " pins unmeasured workload '"
+                          << name << "' — regenerate with "
+                          << "--update-golden";
+            continue;
+        }
+        for (const auto &[key, golden] : metrics.object) {
+            (void)golden;
+            EXPECT_TRUE(it->second.count(key))
+                << file << " pins unmeasured " << name << "." << key
+                << " — regenerate with --update-golden";
+        }
     }
 }
 

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/bits.hh"
 #include "util/random.hh"
 #include "util/simd.hh"
 
@@ -59,42 +58,6 @@ randomLane(size_t n, uint64_t seed)
             std::numeric_limits<int64_t>::max());
     }
     return v;
-}
-
-TEST_F(SimdKernels, Mix64LaneMatchesScalarReference)
-{
-    for (size_t n : kSizes) {
-        auto in = randomLane(n, 11 + n);
-        std::vector<uint64_t> avx(n, 0xaa), sc(n, 0xbb);
-        simd::setModeForTest(simd::Mode::Avx2);
-        simd::mix64Lane(in.data(), avx.data(), n);
-        simd::setModeForTest(simd::Mode::Scalar);
-        simd::mix64Lane(in.data(), sc.data(), n);
-        for (size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(avx[i], sc[i]) << "n=" << n << " i=" << i;
-            ASSERT_EQ(sc[i], mix64(in[i])) << "n=" << n << " i=" << i;
-        }
-    }
-}
-
-TEST_F(SimdKernels, Fold16LaneMatchesScalarReference)
-{
-    for (size_t n : kSizes) {
-        auto raw = randomLane(n, 29 + n);
-        std::vector<int64_t> in(raw.begin(), raw.end());
-        std::vector<uint16_t> avx(n, 0xaaaa), sc(n, 0xbbbb);
-        simd::setModeForTest(simd::Mode::Avx2);
-        simd::fold16Lane(in.data(), avx.data(), n);
-        simd::setModeForTest(simd::Mode::Scalar);
-        simd::fold16Lane(in.data(), sc.data(), n);
-        for (size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(avx[i], sc[i]) << "n=" << n << " i=" << i;
-            ASSERT_EQ(sc[i],
-                      static_cast<uint16_t>(
-                          mix64(static_cast<uint64_t>(in[i])) &
-                          0xffff));
-        }
-    }
 }
 
 TEST_F(SimdKernels, DiffAgainstWindowMatchesScalarAndWraps)
