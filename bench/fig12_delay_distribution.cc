@@ -34,16 +34,13 @@ main(int argc, char **argv)
     stats::Table t("Fig. 12 — value delay distribution (vortex)",
                    "delay");
     t.addColumn("fraction");
+    double tail = 1.0;
     for (size_t d = 0; d <= 24; ++d) {
         t.beginRow(std::to_string(d));
         t.cellPercent(s.valueDelay.fraction(d), 2);
+        tail -= s.valueDelay.fraction(d);
     }
     t.beginRow(">24");
-    double tail = 0;
-    for (size_t d = 25; d < s.valueDelay.numBuckets(); ++d)
-        tail += s.valueDelay.fraction(d);
-    tail += static_cast<double>(s.valueDelay.overflow()) /
-            static_cast<double>(s.valueDelay.samples());
     t.cellPercent(tail, 2);
     bench::emit(t, opt);
 

@@ -81,9 +81,6 @@ main(int argc, char **argv)
                   "profile-loop wall time with instrumentation off "
                   "vs on",
                   o);
-    if (!GDIFF_OBS_ENABLED)
-        std::printf("note: compiled with GDIFF_OBS=OFF — the 'on' "
-                    "column measures the compiled-out macros\n");
 
     const std::vector<std::string> kernels = {"mcf", "parser",
                                               "gzip"};

@@ -247,12 +247,8 @@ main(int argc, char **argv)
     // gate on for the whole sweep. Validate the trace path before any
     // simulation runs so a typo'd directory fails in milliseconds, not
     // after the sweep.
-    if (!o.traceOut.empty() || o.obsSummary) {
-        if (!GDIFF_OBS_ENABLED)
-            warn("observability was compiled out (GDIFF_OBS=OFF); "
-                 "--trace-out/--obs-summary will report nothing");
+    if (!o.traceOut.empty() || o.obsSummary)
         obs::setEnabled(true);
-    }
     if (!o.traceOut.empty()) {
         std::FILE *probe = std::fopen(o.traceOut.c_str(), "wb");
         if (!probe)

@@ -17,13 +17,9 @@ std::atomic<bool> gEnabled{false};
 void
 setEnabled(bool on)
 {
-#if GDIFF_OBS_ENABLED
     if (on)
         nowNs(); // pin the epoch before any worker thread races to it
     detail::gEnabled.store(on, std::memory_order_relaxed);
-#else
-    (void)on;
-#endif
 }
 
 uint64_t
@@ -115,16 +111,12 @@ Registry::timerNs(std::string_view name) const
 }
 
 stats::Histogram *
-Registry::histogram(std::string_view name, size_t numBuckets)
+Registry::histogram(std::string_view name)
 {
     std::lock_guard<std::mutex> guard(mu);
     auto it = histograms.find(name);
-    if (it == histograms.end()) {
-        it = histograms
-                 .emplace(std::string(name),
-                          stats::Histogram(numBuckets))
-                 .first;
-    }
+    if (it == histograms.end())
+        it = histograms.try_emplace(std::string(name)).first;
     return &it->second;
 }
 
@@ -167,13 +159,8 @@ snapshot()
             dst.calls += stat.calls;
             dst.totalNs += stat.totalNs;
         }
-        for (const auto &[name, hist] : reg->histograms) {
-            auto it = snap.histograms.find(name);
-            if (it == snap.histograms.end())
-                snap.histograms.emplace(name, hist);
-            else
-                it->second.merge(hist);
-        }
+        for (const auto &[name, hist] : reg->histograms)
+            snap.histograms[name].merge(hist);
         snap.spans.insert(snap.spans.end(), reg->spans.begin(),
                           reg->spans.end());
     }

@@ -5,8 +5,9 @@
  * trace-event exporter (obs/trace_export.hh).
  *
  * Design rules (see docs/INTERNALS.md §8):
- *  - Everything is off by default. The master switch is a relaxed
- *    atomic read (`obs::enabled()`); a disabled call site costs one
+ *  - Everything is off by default, in the one build there is. The
+ *    master switch is a relaxed atomic read (`obs::enabled()`), not
+ *    a compile-time option; a disabled call site costs one
  *    predictable branch and touches no registry state — no
  *    allocations, no map lookups, no clock reads.
  *  - Hot paths instrument at *chunk or job granularity*, never per
@@ -16,9 +17,8 @@
  *    view at aggregation points (sweep end, test assertions).
  *    Registries outlive their threads, so short-lived worker threads
  *    can be merged after they join.
- *  - Compiling with -DGDIFF_OBS_DISABLE turns the macros into
- *    no-tokens and pins enabled() to false; the API itself stays
- *    available so callers need no ifdefs.
+ *  - Histograms are stats::Histogram, one fixed log-linear layout, so
+ *    any two merge and their percentiles are at most 1/64 high.
  */
 
 #ifndef GDIFF_OBS_OBS_HH
@@ -39,14 +39,6 @@
 namespace gdiff {
 namespace obs {
 
-/// Compile-time master switch: define GDIFF_OBS_DISABLE to compile
-/// every GDIFF_OBS_* macro out entirely.
-#ifdef GDIFF_OBS_DISABLE
-#define GDIFF_OBS_ENABLED 0
-#else
-#define GDIFF_OBS_ENABLED 1
-#endif
-
 namespace detail {
 extern std::atomic<bool> gEnabled;
 } // namespace detail
@@ -55,17 +47,10 @@ extern std::atomic<bool> gEnabled;
 inline bool
 enabled()
 {
-#if GDIFF_OBS_ENABLED
     return detail::gEnabled.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
 }
 
-/**
- * Turn collection on or off at runtime. A no-op (always off) when the
- * library was compiled with GDIFF_OBS_DISABLE.
- */
+/** Turn collection on or off at runtime. */
 void setEnabled(bool on);
 
 /**
@@ -136,14 +121,10 @@ class Registry
     uint64_t timerNs(std::string_view name) const;
 
     /**
-     * @return the named per-thread histogram, created with
-     * @p numBuckets in-range buckets on first use. Later calls ignore
-     * @p numBuckets. snapshot() merges same-named histograms across
-     * threads, which requires every thread to use one bucket count
-     * per name.
+     * @return the named per-thread histogram, created empty on first
+     * use. snapshot() merges same-named histograms across threads.
      */
-    stats::Histogram *histogram(std::string_view name,
-                                size_t numBuckets = 64);
+    stats::Histogram *histogram(std::string_view name);
 
     /** Record a completed span for the trace exporter. */
     void addSpan(std::string name, uint64_t startNs, uint64_t durNs,
@@ -235,7 +216,6 @@ class ScopedTimer
 #define GDIFF_OBS_CAT2_(a, b) a##b
 #define GDIFF_OBS_CAT_(a, b) GDIFF_OBS_CAT2_(a, b)
 
-#if GDIFF_OBS_ENABLED
 /** Time the enclosing scope into the thread-local timer @p name. */
 #define GDIFF_OBS_SCOPE(name)                                             \
     ::gdiff::obs::ScopedTimer GDIFF_OBS_CAT_(obsScope_, __LINE__)(name)
@@ -249,11 +229,6 @@ class ScopedTimer
         if (::gdiff::obs::enabled())                                      \
             ::gdiff::obs::Registry::local().addCount((cname), (n));       \
     } while (0)
-#else
-#define GDIFF_OBS_SCOPE(name) ((void)0)
-#define GDIFF_OBS_SPAN(name) ((void)0)
-#define GDIFF_OBS_COUNT(cname, n) ((void)0)
-#endif
 
 } // namespace obs
 } // namespace gdiff

@@ -121,7 +121,7 @@ OooPipeline::run(workload::TraceSource &src, uint64_t max_instructions,
     // Chunk-granularity obs split: trace delivery (fill) vs the cycle
     // loop itself. Accumulated locally, folded into the thread
     // registry once per run.
-    const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
+    const bool obsOn = obs::enabled();
     uint64_t obsFillNs = 0, obsSimNs = 0, obsChunks = 0, obsT = 0;
 
     auto scratch = std::make_unique<workload::TraceChunk>();

@@ -49,7 +49,7 @@ struct PipelineStats
 
     /// value-delay distribution: producer writebacks between an
     /// instruction's dispatch and its own writeback (paper Fig. 12)
-    stats::Histogram valueDelay{64};
+    stats::Histogram valueDelay;
 
     /// confident predictions among *missing* loads (paper §7 notes
     /// these drive mcf's speedup)

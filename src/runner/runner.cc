@@ -140,7 +140,7 @@ runJob(const JobSpec &spec, workload::TraceCache *cache,
     // Jobs run whole on one thread, so this thread's timer totals
     // before/after the job delimit exactly what the job spent in each
     // instrumented stage.
-    const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
+    const bool obsOn = obs::enabled();
     uint64_t fillNs0 = 0, simNs0 = 0;
     if (obsOn) {
         const obs::Registry &reg = obs::Registry::local();
@@ -251,7 +251,7 @@ SweepRunner::run(const SweepOptions &options)
         }
     }
 
-    const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
+    const bool obsOn = obs::enabled();
     GDIFF_OBS_SPAN("sweep");
 
     std::mutex sinkLock;

@@ -184,8 +184,8 @@ CollectingSink::finish()
 
 // -------------------------------------------------------- TableSink
 
-TableSink::TableSink(std::ostream &os, std::string title, bool csv)
-    : os(os), title(std::move(title)), csv(csv)
+TableSink::TableSink(std::ostream &os, std::string title)
+    : os(os), title(std::move(title))
 {}
 
 void
@@ -215,10 +215,6 @@ TableSink::finish()
         t.cellDouble(r.result.instructionsPerSec / 1e6, 2);
     }
     t.print(os);
-    if (csv) {
-        t.printCsv(os);
-        os << '\n';
-    }
 }
 
 // ---------------------------------------------------------- CsvSink

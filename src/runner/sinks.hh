@@ -79,11 +79,9 @@ class TableSink : public ResultSink
     /**
      * @param os    destination stream (written at finish()).
      * @param title table caption.
-     * @param csv   also render the table as CSV after the text form.
      */
     explicit TableSink(std::ostream &os,
-                       std::string title = "sweep results",
-                       bool csv = false);
+                       std::string title = "sweep results");
 
     void onJob(const JobRecord &record) override;
     void finish() override;
@@ -91,7 +89,6 @@ class TableSink : public ResultSink
   private:
     std::ostream &os;
     std::string title;
-    bool csv;
     std::vector<JobRecord> recs;
 };
 

@@ -174,7 +174,7 @@ measureWindow(const JobSpec &spec, const WindowGrid &grid, uint64_t w,
     const uint64_t warm = grid.warmup(w);
     const uint64_t fwarm = grid.functionalWarmup(w);
 
-    const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
+    const bool obsOn = obs::enabled();
     uint64_t t0 = obsOn ? obs::nowNs() : 0;
 
     std::unique_ptr<workload::TraceSource> base =
@@ -319,7 +319,7 @@ runSampledJob(const JobSpec &spec, workload::TraceCache *cache,
     }
 
     GDIFF_OBS_SPAN("sample.job");
-    const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
+    const bool obsOn = obs::enabled();
 
     WindowGrid grid = makeWindowGrid(spec.warmup, spec.instructions,
                                      spec.sampleWindow);

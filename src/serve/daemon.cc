@@ -33,11 +33,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Latency histograms record microseconds; in-range to ~65 ms, with
-/// the overflow bucket reporting the true maximum beyond that.
-constexpr size_t kLatencyBuckets = 1 << 16;
-constexpr size_t kDepthBuckets = 1 << 12;
-
 /** Conform a client-supplied name to something safe to embed in obs
  * counter names and log lines. */
 std::string
@@ -128,6 +123,9 @@ struct Daemon::Impl
     std::thread acceptThread;
     std::vector<std::thread> workerThreads;
     std::vector<std::thread> readerThreads; ///< guarded by mu
+    /// readers whose loop has returned, joined at the next accept;
+    /// guarded by mu
+    std::vector<std::thread::id> exitedReaders;
 
     mutable std::mutex mu;
     std::condition_variable workCv;  ///< workers: rotation/drain
@@ -227,6 +225,7 @@ struct Daemon::Impl
             Fd sock = acceptUnix(listener.get());
             if (!sock.valid())
                 return; // listener shut down: drain started
+            joinExitedReaders();
             std::lock_guard<std::mutex> lk(mu);
             if (draining)
                 continue; // close immediately; no admissions now
@@ -259,6 +258,30 @@ struct Daemon::Impl
             break;
         }
         disconnect(conn);
+        std::lock_guard<std::mutex> lk(mu);
+        exitedReaders.push_back(std::this_thread::get_id());
+    }
+
+    /** Join every reader that has returned since the last call. Each
+     * holds a full thread stack until joined, so waiting for drain
+     * would grow the daemon by one stack per departed client. */
+    void
+    joinExitedReaders()
+    {
+        std::vector<std::thread> done;
+        {
+            std::lock_guard<std::mutex> lk(mu);
+            for (std::thread::id id : exitedReaders) {
+                auto it = std::find_if(
+                    readerThreads.begin(), readerThreads.end(),
+                    [id](const std::thread &t) { return t.get_id() == id; });
+                done.push_back(std::move(*it));
+                readerThreads.erase(it);
+            }
+            exitedReaders.clear();
+        }
+        for (auto &t : done)
+            t.join();
     }
 
     /** Purge a departed client: its queued jobs free their admission
@@ -463,8 +486,7 @@ struct Daemon::Impl
                 if (obs::enabled()) {
                     obs::Registry &reg = obs::Registry::local();
                     reg.addCount("serve.jobs_enqueued", jobs.size());
-                    reg.histogram("serve.queue_depth", kDepthBuckets)
-                        ->record(queuedJobs);
+                    reg.histogram("serve.queue_depth")->record(queuedJobs);
                 }
                 reply = acceptedMessage(sweep->id, jobs.size());
                 workCv.notify_all();
@@ -528,9 +550,8 @@ struct Daemon::Impl
                               runner::runJob(job.spec, &cache)};
         if (obs::enabled()) {
             obs::Registry &reg = obs::Registry::local();
-            reg.histogram("serve.job_us", kLatencyBuckets)
-                ->record(static_cast<uint64_t>(secondsSince(t0) *
-                                               1e6));
+            reg.histogram("serve.job_us")->record(
+                static_cast<uint64_t>(secondsSince(t0) * 1e6));
             reg.addCount("serve.client." + job.sweep->client +
                              (rec.result.traceReplayed
                                   ? ".trace_hit"
@@ -558,9 +579,8 @@ struct Daemon::Impl
         if (finished) {
             double wall = secondsSince(job.sweep->start);
             if (obs::enabled())
-                obs::Registry::local()
-                    .histogram("serve.request_us", kLatencyBuckets)
-                    ->record(static_cast<uint64_t>(wall * 1e6));
+                obs::Registry::local().histogram("serve.request_us")->record(
+                    static_cast<uint64_t>(wall * 1e6));
             delivered =
                 sendTo(conn, sweepDoneMessage(
                                  job.sweep->id, job.sweep->total,

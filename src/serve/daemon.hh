@@ -25,7 +25,8 @@
  *    the remaining results and sweep_done frames, then exits.
  *
  * Threading model: one accept thread, one reader thread per
- * connection, and a fixed worker pool executing jobs via
+ * connection (joined at the next accept once its client has gone),
+ * and a fixed worker pool executing jobs via
  * runner::runJob against the daemon-owned cache. Results are written
  * under a per-connection write lock so frames never interleave.
  * Lock order: a connection's write lock may be taken before the

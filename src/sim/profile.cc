@@ -84,7 +84,7 @@ ValueProfileRunner::run(workload::TraceSource &src)
     // hit) vs the batched predict/update passes. Local accumulation,
     // one registry call at the end — see obs.hh's overhead rules.
     // Histogram pointers are stable, so they are cached up front.
-    const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
+    const bool obsOn = obs::enabled();
     uint64_t fillNs = 0, simNs = 0, chunks = 0, tStage = 0;
     stats::Histogram *predictHist = nullptr;
     stats::Histogram *updateHist = nullptr;
@@ -210,7 +210,7 @@ AddressProfileRunner::run(workload::TraceSource &src)
     uint64_t executed = 0;
     uint64_t budget = cfg.warmupInstructions + cfg.maxInstructions;
     auto scratch = std::make_unique<workload::TraceChunk>();
-    const bool obsOn = GDIFF_OBS_ENABLED && obs::enabled();
+    const bool obsOn = obs::enabled();
     uint64_t fillNs = 0, simNs = 0, chunks = 0, tStage = 0;
     stats::Histogram *predictHist = nullptr;
     stats::Histogram *updateHist = nullptr;

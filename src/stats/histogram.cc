@@ -1,6 +1,7 @@
 #include "histogram.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -8,39 +9,70 @@
 namespace gdiff {
 namespace stats {
 
-Histogram::Histogram(size_t num_buckets)
-    : counts(num_buckets, 0)
+namespace {
+
+/// Values below kExact (128) get one bucket each. A wider value drops
+/// its low `shift` bits and keeps its top kSubBits+1 bits, so each
+/// power of two from 128 up splits into kSub (64) buckets. Bucket
+/// index = shift * kSub + (v >> shift), which is v itself below 128.
+constexpr unsigned kSubBits = 6;
+constexpr uint64_t kSub = uint64_t(1) << kSubBits;
+constexpr uint64_t kExact = 2 * kSub;
+constexpr unsigned kMaxShift = 64 - (kSubBits + 1);
+constexpr size_t kBuckets = kMaxShift * kSub + kExact;
+
+size_t
+bucketOf(uint64_t v)
 {
-    GDIFF_ASSERT(num_buckets >= 1, "Histogram needs >= 1 bucket");
+    const unsigned width = static_cast<unsigned>(std::bit_width(v));
+    const unsigned shift = width > kSubBits + 1 ? width - (kSubBits + 1)
+                                                : 0;
+    return shift * kSub + static_cast<size_t>(v >> shift);
+}
+
+/** @return the largest value that lands in bucket @p b. */
+uint64_t
+bucketTop(size_t b)
+{
+    if (b < kExact)
+        return b;
+    const unsigned shift = static_cast<unsigned>(b / kSub - 1);
+    const uint64_t lead = b - shift * kSub; // in [kSub, kExact)
+    return (lead << shift) + ((uint64_t(1) << shift) - 1);
+}
+
+} // anonymous namespace
+
+Histogram::Histogram()
+    : counts(kBuckets, 0)
+{
 }
 
 void
 Histogram::record(uint64_t sample)
 {
-    if (sample < counts.size())
-        ++counts[sample];
-    else
-        ++overflowCount;
+    ++counts[bucketOf(sample)];
     ++sampleCount;
     sum += static_cast<double>(sample);
-    sumSq += static_cast<double>(sample) * static_cast<double>(sample);
     if (sample > maxSeen)
         maxSeen = sample;
 }
 
 uint64_t
-Histogram::bucket(size_t b) const
+Histogram::count(uint64_t v) const
 {
-    GDIFF_ASSERT(b < counts.size(), "bucket %zu out of range", b);
-    return counts[b];
+    GDIFF_ASSERT(v < kExact, "count(%llu): buckets are exact only "
+                 "below %llu", static_cast<unsigned long long>(v),
+                 static_cast<unsigned long long>(kExact));
+    return counts[v];
 }
 
 double
-Histogram::fraction(size_t b) const
+Histogram::fraction(uint64_t v) const
 {
     if (sampleCount == 0)
         return 0.0;
-    return static_cast<double>(bucket(b)) /
+    return static_cast<double>(count(v)) /
            static_cast<double>(sampleCount);
 }
 
@@ -49,24 +81,6 @@ Histogram::mean() const
 {
     return sampleCount == 0 ? 0.0
                             : sum / static_cast<double>(sampleCount);
-}
-
-double
-Histogram::variance() const
-{
-    if (sampleCount < 2)
-        return 0.0;
-    double n = static_cast<double>(sampleCount);
-    double m = sum / n;
-    // E[x^2] - mean^2 can go epsilon-negative from rounding when all
-    // samples are (nearly) equal; clamp rather than return -0.0.
-    return std::max(0.0, sumSq / n - m * m);
-}
-
-double
-Histogram::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 uint64_t
@@ -84,41 +98,22 @@ Histogram::percentile(double p) const
     if (need == 0)
         need = 1;
     uint64_t seen = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
+    for (size_t b = 0; b < kBuckets; ++b) {
         seen += counts[b];
         if (seen >= need)
-            return b;
+            return std::min(bucketTop(b), maxSeen);
     }
-    // The requested mass sits in the overflow bucket; the best bound
-    // we kept is the largest sample observed.
     return maxSeen;
 }
 
 void
 Histogram::merge(const Histogram &other)
 {
-    GDIFF_ASSERT(counts.size() == other.counts.size(),
-                 "merging histograms with %zu vs %zu buckets",
-                 counts.size(), other.counts.size());
-    for (size_t b = 0; b < counts.size(); ++b)
+    for (size_t b = 0; b < kBuckets; ++b)
         counts[b] += other.counts[b];
-    overflowCount += other.overflowCount;
     sampleCount += other.sampleCount;
     sum += other.sum;
-    sumSq += other.sumSq;
     maxSeen = std::max(maxSeen, other.maxSeen);
-}
-
-void
-Histogram::reset()
-{
-    for (auto &c : counts)
-        c = 0;
-    overflowCount = 0;
-    sampleCount = 0;
-    sum = 0.0;
-    sumSq = 0.0;
-    maxSeen = 0;
 }
 
 } // namespace stats

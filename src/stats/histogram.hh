@@ -1,7 +1,8 @@
 /**
  * @file
- * Integer-valued histogram with overflow bucket, used for the value
- * delay distribution (paper Fig. 12) and cache/pipeline diagnostics.
+ * Integer-valued histogram with a fixed log-linear layout. It holds
+ * the value delay distribution (paper Fig. 12) and every obs and
+ * gdiffd latency or depth percentile.
  */
 
 #ifndef GDIFF_STATS_HISTOGRAM_HH
@@ -15,75 +16,58 @@ namespace gdiff {
 namespace stats {
 
 /**
- * Histogram over non-negative integer samples 0..numBuckets-1, with
- * samples >= numBuckets accumulated into an overflow bucket.
+ * Histogram over the whole uint64_t range, in one fixed layout:
+ *  - samples below 128 get one exact bucket per value;
+ *  - each power-of-two range [2^k, 2^(k+1)) above that is split into
+ *    64 equal buckets, each at most 1/64 of its lower edge wide.
+ *
+ * So percentile() is never below the true order statistic and at most
+ * 1/64 above it, capped at maxSample(). Every histogram has the same
+ * buckets (3,776 counts, about 30 KiB), which makes merge() total.
+ * The counts are allocated once, at construction, and never move:
+ * obs::snapshot() may read a histogram that its owning thread is
+ * still recording into.
  */
 class Histogram
 {
   public:
-    /** @param num_buckets number of in-range buckets (>= 1). */
-    explicit Histogram(size_t num_buckets);
+    Histogram();
 
     /** Record one sample. */
     void record(uint64_t sample);
 
-    /** @return the count in bucket b (b < numBuckets()). */
-    uint64_t bucket(size_t b) const;
-
-    /** @return the count of samples >= numBuckets(). */
-    uint64_t overflow() const { return overflowCount; }
+    /** @return how many samples equalled @p v (requires v < 128,
+     * where buckets are exact). */
+    uint64_t count(uint64_t v) const;
 
     /** @return total samples recorded. */
     uint64_t samples() const { return sampleCount; }
 
-    /** @return the number of in-range buckets. */
-    size_t numBuckets() const { return counts.size(); }
+    /** @return count(v) as a fraction of all samples (0 if empty). */
+    double fraction(uint64_t v) const;
 
-    /** @return bucket b as a fraction of all samples (0 if empty). */
-    double fraction(size_t b) const;
-
-    /** @return the mean of all recorded samples (overflow samples
-     * contribute their true values). */
+    /** @return the mean of all recorded samples, from the exact
+     * running sum. */
     double mean() const;
-
-    /**
-     * @return the population variance of all recorded samples
-     * (E[x^2] - mean^2, from exact running sums — overflow samples
-     * contribute their true values, unlike percentile()). 0 when
-     * fewer than two samples were recorded.
-     */
-    double variance() const;
-
-    /** @return sqrt(variance()). */
-    double stddev() const;
 
     /** @return the largest sample seen so far (0 if none). */
     uint64_t maxSample() const { return maxSeen; }
 
     /**
-     * @return the smallest sample value v such that at least
-     * @p p (in [0,1]) of all recorded samples are <= v. Samples that
-     * landed in the overflow bucket report maxSample(). An empty
-     * histogram reports 0.
+     * @return an upper bound on the smallest recorded value v such
+     * that at least @p p (in [0,1]) of all samples are <= v: the top
+     * of v's bucket, capped at maxSample(). Exact below 128, at most
+     * 1/64 high above. An empty histogram reports 0.
      */
     uint64_t percentile(double p) const;
 
-    /**
-     * Fold @p other into this histogram. The two must have the same
-     * bucket count (panics otherwise); the obs layer relies on this
-     * to merge per-thread histograms at snapshot time.
-     */
+    /** Fold @p other into this histogram. */
     void merge(const Histogram &other);
-
-    /** Reset all buckets. */
-    void reset();
 
   private:
     std::vector<uint64_t> counts;
-    uint64_t overflowCount = 0;
     uint64_t sampleCount = 0;
     double sum = 0.0;
-    double sumSq = 0.0;
     uint64_t maxSeen = 0;
 };
 

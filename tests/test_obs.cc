@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -184,6 +185,45 @@ TEST_F(ObsTest, RegistriesMergeAcrossThreads)
     for (const auto &[tid, count] : perTid) {
         (void)tid;
         EXPECT_EQ(count, 1);
+    }
+}
+
+TEST_F(ObsTest, MergedPercentilesStayWithinTheirBound)
+{
+    // Four threads record latencies of 100–200 ms in microseconds,
+    // far past the exact range, into one histogram name. The merged
+    // percentiles must track the true order statistics to 1/64
+    // rather than saturate at the maximum.
+    constexpr unsigned kThreads = 4;
+    constexpr uint64_t kPerThread = 5000;
+    constexpr uint64_t kLo = 100'000, kHi = 200'000;
+    auto sampleOf = [](uint64_t i) {
+        return kLo + i * (kHi - kLo) / (kThreads * kPerThread - 1);
+    };
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        pool.emplace_back([t, &sampleOf] {
+            stats::Histogram *h =
+                obs::Registry::local().histogram("unit.latency_us");
+            for (uint64_t i = t; i < kThreads * kPerThread;
+                 i += kThreads)
+                h->record(sampleOf(i));
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    const obs::Snapshot snap = obs::snapshot();
+    const stats::Histogram &h = snap.histograms.at("unit.latency_us");
+    ASSERT_EQ(h.samples(), kThreads * kPerThread);
+    EXPECT_EQ(h.maxSample(), kHi);
+    for (double p : {0.50, 0.95, 0.99}) {
+        const double n = static_cast<double>(kThreads * kPerThread);
+        uint64_t exact =
+            sampleOf(static_cast<uint64_t>(std::ceil(p * n)) - 1);
+        uint64_t got = h.percentile(p);
+        EXPECT_GE(got, exact) << "p=" << p;
+        EXPECT_LE(got - exact, exact / 64) << "p=" << p;
     }
 }
 

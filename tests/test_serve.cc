@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -645,6 +646,61 @@ TEST(DaemonTest, DrainFinishesAdmittedWorkThenRefusesNew)
 
     daemon.waitUntilDrained();
     EXPECT_EQ(daemon.stats().completedJobs, 4u);
+}
+
+/** @return this process's virtual size in KiB (0 if unreadable). */
+uint64_t
+vmSizeKib()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    }
+    return 0;
+}
+
+TEST(DaemonTest, DepartedClientsDoNotPinReaderThreads)
+{
+    // Every connection gets a reader thread, and an exited thread
+    // keeps its whole stack mapped until it is joined. A daemon that
+    // joined readers only at drain grew by a stack per client served.
+    DaemonConfig cfg;
+    cfg.socketPath = testSocketPath();
+    cfg.workers = 1;
+    Daemon daemon(cfg);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+
+    auto pingOnce = [&] {
+        Client client;
+        ASSERT_TRUE(client.connect(cfg.socketPath, &error)) << error;
+        EXPECT_TRUE(client.ping(&error)) << error;
+    };
+    auto waitForNoClients = [&] {
+        for (int i = 0; i < 500; ++i) {
+            if (daemon.stats().connectedClients == 0)
+                return true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return false;
+    };
+
+    // One client first, so the baseline already holds whatever a
+    // reader thread allocates once per process.
+    pingOnce();
+    ASSERT_TRUE(waitForNoClients());
+    const uint64_t before = vmSizeKib();
+    ASSERT_GT(before, 0u);
+
+    constexpr uint64_t kClients = 64;
+    for (uint64_t i = 0; i < kClients; ++i)
+        pingOnce();
+    ASSERT_TRUE(waitForNoClients());
+    const uint64_t after = vmSizeKib();
+    EXPECT_LT(after, before + kClients * 4 * 1024)
+        << "VmSize " << before << " KiB -> " << after << " KiB";
 }
 
 TEST(DaemonTest, StatusReportsCacheAndLatencyHistograms)

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "stats/counter.hh"
 #include "stats/histogram.hh"
@@ -67,33 +71,35 @@ TEST(Average, Mean)
 
 TEST(Histogram, BucketsAndOverflow)
 {
-    Histogram h(4);
+    // Values below 128 are counted exactly; larger ones land in the
+    // log-linear buckets and leave every exact count alone.
+    Histogram h;
     h.record(0);
     h.record(1);
     h.record(1);
-    h.record(3);
-    h.record(9);  // overflow
-    h.record(100);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
+    h.record(127);
+    h.record(128);
+    h.record(100000);
+    EXPECT_EQ(h.count(0), 1u);
+    EXPECT_EQ(h.count(1), 2u);
+    EXPECT_EQ(h.count(2), 0u);
+    EXPECT_EQ(h.count(127), 1u);
     EXPECT_EQ(h.samples(), 6u);
-    EXPECT_EQ(h.maxSample(), 100u);
+    EXPECT_EQ(h.maxSample(), 100000u);
 }
 
 TEST(Histogram, MeanIncludesOverflowTrueValues)
 {
-    Histogram h(2);
+    // The mean comes from the running sum, not from bucket edges.
+    Histogram h;
     h.record(0);
-    h.record(10);
-    EXPECT_DOUBLE_EQ(h.mean(), 5.0);
+    h.record(1000003);
+    EXPECT_DOUBLE_EQ(h.mean(), 500001.5);
 }
 
 TEST(Histogram, Fractions)
 {
-    Histogram h(2);
+    Histogram h;
     h.record(0);
     h.record(0);
     h.record(1);
@@ -102,20 +108,11 @@ TEST(Histogram, Fractions)
     EXPECT_DOUBLE_EQ(h.fraction(1), 0.5);
 }
 
-TEST(Histogram, Reset)
-{
-    Histogram h(2);
-    h.record(1);
-    h.reset();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.bucket(1), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
 TEST(HistogramDeath, OutOfRangeBucket)
 {
-    Histogram h(2);
-    EXPECT_DEATH((void)h.bucket(2), "out of range");
+    // count() is exact only where buckets hold one value each.
+    Histogram h;
+    EXPECT_DEATH((void)h.count(128), "exact only below 128");
 }
 
 TEST(Counter, LargeAdditionsDoNotTruncate)
@@ -143,7 +140,7 @@ TEST(Ratio, ZeroTotalBatchIsHarmless)
 
 TEST(Histogram, PercentileOfEmptyIsZero)
 {
-    Histogram h(8);
+    Histogram h;
     EXPECT_EQ(h.percentile(0.0), 0u);
     EXPECT_EQ(h.percentile(0.5), 0u);
     EXPECT_EQ(h.percentile(1.0), 0u);
@@ -151,7 +148,7 @@ TEST(Histogram, PercentileOfEmptyIsZero)
 
 TEST(Histogram, PercentileOfSingleSample)
 {
-    Histogram h(8);
+    Histogram h;
     h.record(5);
     // With one sample, every percentile is that sample.
     EXPECT_EQ(h.percentile(0.0), 5u);
@@ -161,7 +158,7 @@ TEST(Histogram, PercentileOfSingleSample)
 
 TEST(Histogram, PercentileWalksTheDistribution)
 {
-    Histogram h(16);
+    Histogram h;
     for (uint64_t v = 0; v < 10; ++v)
         h.record(v); // one sample in each of buckets 0..9
     EXPECT_EQ(h.percentile(0.0), 0u);  // smallest recorded sample
@@ -173,15 +170,17 @@ TEST(Histogram, PercentileWalksTheDistribution)
 
 TEST(Histogram, PercentileInOverflowReportsMaxSample)
 {
-    Histogram h(4);
+    Histogram h;
     h.record(1);
-    h.record(100); // overflow
-    h.record(200); // overflow, the max
-    // The median lands in the overflow bucket, where per-value
-    // resolution is gone; the documented bound is maxSample().
-    EXPECT_EQ(h.percentile(0.5), 200u);
+    h.record(100);
+    h.record(200);
+    // The median is exact below 128 instead of saturating at the max.
+    EXPECT_EQ(h.percentile(0.5), 100u);
+    EXPECT_EQ(h.percentile(0.1), 1u);
+    // 200 shares a two-wide bucket with 201; the top of that bucket
+    // is capped at the largest sample actually seen.
     EXPECT_EQ(h.percentile(1.0), 200u);
-    EXPECT_EQ(h.percentile(0.1), 1u); // still resolved in-range
+    EXPECT_EQ(h.maxSample(), 200u);
 }
 
 TEST(Histogram, MergeOfDisjointRanges)
@@ -189,93 +188,28 @@ TEST(Histogram, MergeOfDisjointRanges)
     // One thread's histogram saw only small samples, another's only
     // large ones (plus overflow) — exactly the shape obs::snapshot()
     // merges. The union must behave as if one histogram saw both.
-    Histogram low(8), high(8);
+    Histogram low, high;
     low.record(0);
     low.record(1);
     low.record(1);
     high.record(6);
     high.record(7);
-    high.record(50); // overflow
+    high.record(5000); // a log-linear bucket
 
     low.merge(high);
     EXPECT_EQ(low.samples(), 6u);
-    EXPECT_EQ(low.bucket(1), 2u);
-    EXPECT_EQ(low.bucket(6), 1u);
-    EXPECT_EQ(low.overflow(), 1u);
-    EXPECT_EQ(low.maxSample(), 50u);
-    EXPECT_DOUBLE_EQ(low.mean(), (0 + 1 + 1 + 6 + 7 + 50) / 6.0);
+    EXPECT_EQ(low.count(1), 2u);
+    EXPECT_EQ(low.count(6), 1u);
+    EXPECT_EQ(low.count(50), 0u);
+    EXPECT_EQ(low.maxSample(), 5000u);
+    EXPECT_DOUBLE_EQ(low.mean(), (0 + 1 + 1 + 6 + 7 + 5000) / 6.0);
     EXPECT_EQ(low.percentile(0.5), 1u);
-    EXPECT_EQ(low.percentile(1.0), 50u);
-}
-
-TEST(Histogram, VarianceFromRunningSums)
-{
-    // {2, 4, 4, 4, 5, 5, 7, 9}: mean 5, population variance 4.
-    Histogram h(16);
-    for (uint64_t v : {2u, 4u, 4u, 4u, 5u, 5u, 7u, 9u})
-        h.record(v);
-    EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(h.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(h.stddev(), 2.0);
-}
-
-TEST(Histogram, VarianceOfFewerThanTwoSamplesIsZero)
-{
-    Histogram h(4);
-    EXPECT_DOUBLE_EQ(h.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(h.stddev(), 0.0);
-    h.record(3);
-    EXPECT_DOUBLE_EQ(h.variance(), 0.0);
-}
-
-TEST(Histogram, VarianceUsesTrueOverflowValues)
-{
-    // Overflow samples keep their exact values in the running sums
-    // (unlike percentile(), which loses per-value resolution there).
-    Histogram h(4);
-    h.record(0);
-    h.record(100); // -> overflow bucket
-    EXPECT_DOUBLE_EQ(h.mean(), 50.0);
-    EXPECT_DOUBLE_EQ(h.variance(), 2500.0);
-}
-
-TEST(Histogram, VarianceSurvivesMergeOfDisjointRanges)
-{
-    // Per-thread histograms that saw different halves of the data
-    // must merge into the exact whole-population moments.
-    Histogram low(8), high(8), all(8);
-    for (uint64_t v : {0u, 1u, 1u, 2u}) {
-        low.record(v);
-        all.record(v);
-    }
-    for (uint64_t v : {6u, 7u, 50u}) { // 50 overflows
-        high.record(v);
-        all.record(v);
-    }
-    low.merge(high);
-    EXPECT_DOUBLE_EQ(low.mean(), all.mean());
-    EXPECT_DOUBLE_EQ(low.variance(), all.variance());
-    EXPECT_DOUBLE_EQ(low.stddev(), all.stddev());
-    EXPECT_GT(low.variance(), 0.0);
-}
-
-TEST(Histogram, ResetClearsTheMomentSums)
-{
-    Histogram h(4);
-    h.record(3);
-    h.record(100);
-    h.reset();
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.variance(), 0.0);
-    h.record(2);
-    h.record(4);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(h.variance(), 1.0);
+    EXPECT_EQ(low.percentile(1.0), 5000u);
 }
 
 TEST(Histogram, MergeWithEmptyIsIdentity)
 {
-    Histogram h(4), empty(4);
+    Histogram h, empty;
     h.record(2);
     h.merge(empty);
     EXPECT_EQ(h.samples(), 1u);
@@ -283,13 +217,102 @@ TEST(Histogram, MergeWithEmptyIsIdentity)
 
     empty.merge(h);
     EXPECT_EQ(empty.samples(), 1u);
-    EXPECT_EQ(empty.bucket(2), 1u);
+    EXPECT_EQ(empty.count(2), 1u);
 }
 
-TEST(HistogramDeath, MergeBucketCountMismatch)
+/**
+ * Check every percentile of @p h against the exact order statistics
+ * of @p values: never below, at most 1/64 above, exact below 128, and
+ * never above maxSample().
+ */
+void
+expectPercentilesWithinBound(const Histogram &h,
+                             std::vector<uint64_t> values)
 {
-    Histogram a(4), b(8);
-    EXPECT_DEATH(a.merge(b), "4 vs 8 buckets");
+    std::sort(values.begin(), values.end());
+    ASSERT_EQ(h.samples(), values.size());
+    if (values.empty()) {
+        EXPECT_EQ(h.percentile(0.5), 0u);
+        return;
+    }
+    EXPECT_EQ(h.maxSample(), values.back());
+    for (double p : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
+                     0.99, 0.999, 1.0}) {
+        size_t need = static_cast<size_t>(
+            std::ceil(p * static_cast<double>(values.size())));
+        uint64_t exact = values[std::max<size_t>(need, 1) - 1];
+        uint64_t got = h.percentile(p);
+        EXPECT_GE(got, exact) << "p=" << p;
+        EXPECT_LE(got - exact, exact / 64) << "p=" << p;
+        EXPECT_LE(got, h.maxSample()) << "p=" << p;
+        if (exact < 128) {
+            EXPECT_EQ(got, exact) << "p=" << p;
+        }
+    }
+}
+
+Histogram
+histogramOf(const std::vector<uint64_t> &values)
+{
+    Histogram h;
+    for (uint64_t v : values)
+        h.record(v);
+    return h;
+}
+
+TEST(Histogram, PercentilesOnKnownDistributions)
+{
+    std::vector<uint64_t> uniform;
+    for (uint64_t v = 1; v <= 1'000'000; ++v)
+        uniform.push_back(v);
+    expectPercentilesWithinBound(histogramOf(uniform), uniform);
+
+    // Log-spread: every bit width from 0 to 64 is equally likely.
+    std::mt19937_64 rng(7);
+    std::vector<uint64_t> logSpread;
+    for (int i = 0; i < 200'000; ++i)
+        logSpread.push_back(rng() >> (rng() % 64));
+    expectPercentilesWithinBound(histogramOf(logSpread), logSpread);
+
+    std::vector<uint64_t> constant(1000, 123'456'789);
+    expectPercentilesWithinBound(histogramOf(constant), constant);
+
+    std::vector<uint64_t> twoPoints(500, 3);
+    twoPoints.insert(twoPoints.end(), 500, uint64_t(1) << 40);
+    expectPercentilesWithinBound(histogramOf(twoPoints), twoPoints);
+
+    std::vector<uint64_t> top = {~uint64_t(0), ~uint64_t(0)};
+    expectPercentilesWithinBound(histogramOf(top), top);
+    EXPECT_EQ(histogramOf(top).percentile(0.5), ~uint64_t(0));
+
+    expectPercentilesWithinBound(Histogram(), {});
+}
+
+TEST(Histogram, MergeOfFourEqualsTheUnion)
+{
+    // Four per-thread histograms, as obs::snapshot() merges them.
+    // Samples stay below 2^32 so every running sum is exact and the
+    // merged mean matches the union's bit for bit.
+    std::mt19937_64 rng(11);
+    Histogram parts[4];
+    Histogram all;
+    for (int i = 0; i < 40'000; ++i) {
+        uint64_t v = (rng() >> 32) >> (rng() % 32);
+        parts[i % 4].record(v);
+        all.record(v);
+    }
+    Histogram merged;
+    for (const Histogram &part : parts)
+        merged.merge(part);
+    EXPECT_EQ(merged.samples(), all.samples());
+    EXPECT_EQ(merged.maxSample(), all.maxSample());
+    EXPECT_EQ(merged.mean(), all.mean());
+    for (uint64_t v = 0; v < 128; ++v)
+        EXPECT_EQ(merged.count(v), all.count(v)) << "v=" << v;
+    for (int k = 0; k <= 1000; ++k) {
+        double p = k / 1000.0;
+        EXPECT_EQ(merged.percentile(p), all.percentile(p)) << "p=" << p;
+    }
 }
 
 TEST(Table, AlignedOutputContainsCells)
