@@ -11,7 +11,7 @@
  *     JobSpec::sampleWindow records.
  *
  *  2. A cheap profiling pass streams the whole region once (no timing
- *     model) and fingerprints each window with the v3 codec's
+ *     model) and fingerprints each window with the stride
  *     phase/period detector (workload::detectStridePeriod on the
  *     value and pc columns of the window's scan prefix). Windows with
  *     the same (value-period, pc-period) fingerprint — i.e. the same

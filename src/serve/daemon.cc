@@ -173,12 +173,14 @@ struct Daemon::Impl
             if (draining)
                 return;
             draining = true;
+            // Unblocks accept() with EINVAL; new clients see
+            // ECONNREFUSED only after the socket file is unlinked at
+            // join time, but the accept loop is already gone. Done
+            // under mu: waitUntilDrained() resets the listener once
+            // it has seen `draining` under mu, so the two never race.
+            if (listener.valid())
+                ::shutdown(listener.get(), SHUT_RDWR);
         }
-        // Unblocks accept() with EINVAL; new clients see ECONNREFUSED
-        // only after the socket file is unlinked at join time, but
-        // the accept loop is already gone.
-        if (listener.valid())
-            ::shutdown(listener.get(), SHUT_RDWR);
         workCv.notify_all();
         // An idle daemon already satisfies the drain predicate, and
         // no worker or disconnect will come along to re-test it.

@@ -75,17 +75,6 @@ warn(const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (quiet_logging)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    printTagged("info", fmt, ap);
-    va_end(ap);
-}
-
-void
 setQuietLogging(bool quiet)
 {
     quiet_logging = quiet;

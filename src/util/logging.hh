@@ -9,8 +9,7 @@
  *  - fatal(): the simulation cannot continue because of a user error
  *    (bad configuration, invalid arguments). Exits with status 1.
  *
- * Informational messages use inform() and warn(); neither stops the
- * simulation.
+ * Warnings use warn(), which never stops the simulation.
  */
 
 #ifndef GDIFF_UTIL_LOGGING_HH
@@ -43,18 +42,15 @@ namespace gdiff {
  */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print a normal status message to the user. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /**
- * Enable or disable inform()/warn() output (panic/fatal always print).
+ * Enable or disable warn() output (panic/fatal always print).
  * Useful for keeping test output quiet.
  *
- * @param quiet true suppresses inform() and warn().
+ * @param quiet true suppresses warn().
  */
 void setQuietLogging(bool quiet);
 
-/** @return true if inform()/warn() output is currently suppressed. */
+/** @return true if warn() output is currently suppressed. */
 bool quietLogging();
 
 /**

@@ -85,9 +85,9 @@ int firstEqual(const int64_t *a, const int64_t *b, size_t n);
  * @return how many i in [2L, n) have a zero lag-@p L second
  * difference: v[i] - v[i-L] == v[i-L] - v[i-2L] (two's-complement
  * wrapping). This is the inner loop of the period scan
- * (workload::detectStridePeriod) that both the v3 codec's encoder
- * and the sampled simulator's profiling pass run once per candidate
- * period — O(maxPeriod x n) scalar work that dominates either caller
+ * (workload::detectStridePeriod) that the sampled simulator's
+ * profiling pass and check::mine run once per candidate period —
+ * O(maxPeriod x n) scalar work that dominates the profiling pass
  * without the lane kernel. Returns 0 when n <= 2L.
  */
 size_t countSecondDiffZero(const uint64_t *v, size_t n, size_t L);

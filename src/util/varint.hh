@@ -19,6 +19,15 @@
  *   byteRle      (byte, varint run-length) pairs for u8 columns
  *                (flags/opcode columns with long constant runs).
  *
+ * Every codec visits a column *phase-major* at a period L: v[0],
+ * v[L], v[2L], ..., then v[1], v[1+L], ...; L = 1 is plain order. A
+ * loop of L instructions interleaves L per-PC streams, so visiting by
+ * phase recovers each stream's local stride. Delta and run state
+ * carries across phases, and decoders write each element straight to
+ * its strided position. deltaSizes() and byteRleSize() give a
+ * column's exact encoded sizes, so the trace writer picks a codec
+ * without trial encodes.
+ *
  * Every decoder is a hardened parser: it never reads past the input
  * span, never writes more than the declared element count, and
  * reports malformed input (truncated varints, overlong varints, run
@@ -34,6 +43,7 @@
 #ifndef GDIFF_UTIL_VARINT_HH
 #define GDIFF_UTIL_VARINT_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -59,6 +69,13 @@ zigzagDecode(uint64_t v)
 {
     return static_cast<int64_t>(v >> 1) ^
            -static_cast<int64_t>(v & 1);
+}
+
+/** @return the length of @p v's LEB128 encoding (1..maxVarintBytes). */
+inline size_t
+varintBytes(uint64_t v)
+{
+    return 1 + (63 - std::countl_zero(v | 1)) / 7;
 }
 
 /** Append the LEB128 encoding of @p v to @p out. */
@@ -126,34 +143,48 @@ fnv1a(const void *data, size_t bytes, uint64_t h = fnvOffsetBasis)
 }
 /// @}
 
-/// @name column codecs (element counts are fixed by the caller)
+/// @name column codecs (element counts are fixed by the caller;
+/// @p L, 1..n, is the period of the phase-major visit)
 /// @{
 
+/** Exact encoded sizes of one 64-bit column under the delta codecs. */
+struct DeltaSizes
+{
+    size_t varint = 0; ///< encodeDeltaVarint() output bytes
+    size_t rle = 0;    ///< encodeDeltaRle() output bytes
+};
+
+/** @return both delta codecs' sizes for v[0..n) at period @p L. */
+DeltaSizes deltaSizes(const uint64_t *v, uint32_t n, uint32_t L);
+
+/** @return encodeByteRle()'s output bytes for v[0..n) at period @p L. */
+size_t byteRleSize(const uint8_t *v, uint32_t n, uint32_t L);
+
 /** Append zigzag-varint deltas of v[0..n) to @p out (v[-1] := 0). */
-void encodeDeltaVarint(const uint64_t *v, uint32_t n,
+void encodeDeltaVarint(const uint64_t *v, uint32_t n, uint32_t L,
                        std::vector<uint8_t> &out);
 
 /** Decode exactly @p n elements from exactly @p bytes bytes.
  *  @return false on malformed input (nothing may be assumed about
  *  the contents of @p v after a failure). */
 bool decodeDeltaVarint(const uint8_t *p, size_t bytes, uint64_t *v,
-                       uint32_t n);
+                       uint32_t n, uint32_t L);
 
 /** Append (zigzag-varint delta, varint run) pairs covering v[0..n). */
-void encodeDeltaRle(const uint64_t *v, uint32_t n,
+void encodeDeltaRle(const uint64_t *v, uint32_t n, uint32_t L,
                     std::vector<uint8_t> &out);
 
 /** Decode exactly @p n elements from exactly @p bytes bytes. */
 bool decodeDeltaRle(const uint8_t *p, size_t bytes, uint64_t *v,
-                    uint32_t n);
+                    uint32_t n, uint32_t L);
 
 /** Append (byte, varint run) pairs covering v[0..n). */
-void encodeByteRle(const uint8_t *v, uint32_t n,
+void encodeByteRle(const uint8_t *v, uint32_t n, uint32_t L,
                    std::vector<uint8_t> &out);
 
 /** Decode exactly @p n elements from exactly @p bytes bytes. */
 bool decodeByteRle(const uint8_t *p, size_t bytes, uint8_t *v,
-                   uint32_t n);
+                   uint32_t n, uint32_t L);
 
 /// @}
 

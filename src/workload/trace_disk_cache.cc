@@ -274,14 +274,5 @@ DiskTraceCache::snapshot() const
     return counters;
 }
 
-void
-DiskTraceCache::setMaxBytes(size_t bytes)
-{
-    std::lock_guard<std::mutex> guard(lock);
-    cfg.maxBytes = bytes;
-    if (rootReady)
-        sweepLocked(std::string());
-}
-
 } // namespace workload
 } // namespace gdiff

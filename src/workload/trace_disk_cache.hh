@@ -107,9 +107,6 @@ class DiskTraceCache
     /** @return the configured cache root. */
     const std::string &root() const { return cfg.root; }
 
-    /** Change the byte cap; sweeps immediately if now exceeded. */
-    void setMaxBytes(size_t bytes);
-
     /** @return the entry file name for a triple (no directory). */
     static std::string entryName(const std::string &workload,
                                  uint64_t seed, uint64_t records);

@@ -54,18 +54,14 @@ enum ColumnCodec : uint8_t
     codecDeltaVarint = 1, ///< zigzag-varint consecutive deltas
     codecDeltaRle = 2,    ///< run-length coded deltas (stride spans)
     codecByteRle = 3,     ///< run-length coded bytes (u8 columns)
-    /// phase-transposed deltaRle: varint period L, then deltaRle of
-    /// the column split into L interleaved subsequences. A loop of L
+    /// The transposed codecs: varint period L, then the plain codec
+    /// over the column visited phase by phase. A loop of L
     /// instructions interleaves L per-PC streams in the global
-    /// column; transposing recovers each stream's *local* stride, so
-    /// a constant-stride loop collapses to one run per phase — the
+    /// column; each phase is one stream with its *local* stride, so a
+    /// constant-stride loop collapses to one run per phase — the
     /// paper's global-vs-local stride observation, used as a codec.
     codecDeltaRleT = 4,
-    /// phase-transposed byteRle (periodic op/reg/flag columns)
     codecByteRleT = 5,
-    /// phase-transposed deltaVarint: for columns where some phases
-    /// are noisy (no runs to collapse), one varint per element beats
-    /// deltaRle's (delta, run) pair — smaller and faster to decode
     codecDeltaVarintT = 6,
 };
 
@@ -91,17 +87,27 @@ constexpr size_t v2RecordBytes = 5 * 1 + 4 + 6 * 8;
 constexpr size_t maxV3PayloadBytes =
     v2RecordBytes * TraceChunk::capacity + numColumns * 5;
 
+} // anonymous namespace
+
+namespace detail {
+
 /**
- * One on-disk block's instruction fields in scalar columns, so the
- * layout is independent of isa::Instruction's padding. Doubles as
- * gather (write) and scatter (read) scratch.
+ * One block's instruction fields in scalar columns, so the on-disk
+ * layout is independent of isa::Instruction's padding: the writer
+ * gathers into it, the reader decodes into it and scatters. target
+ * and imm are held as 64-bit lanes, the form the delta codecs use.
  */
 struct BlockColumns
 {
     std::array<uint8_t, TraceChunk::capacity> op, rd, rs1, rs2;
-    std::array<uint32_t, TraceChunk::capacity> target;
-    std::array<int64_t, TraceChunk::capacity> imm;
+    std::array<uint64_t, TraceChunk::capacity> target, imm;
 };
+
+} // namespace detail
+
+namespace {
+
+using detail::BlockColumns;
 
 /** Gather @p chunk's instruction fields into scalar columns. */
 void
@@ -114,7 +120,7 @@ gatherInstColumns(const TraceChunk &chunk, BlockColumns &cols)
         cols.rs1[i] = in.rs1;
         cols.rs2[i] = in.rs2;
         cols.target[i] = in.target;
-        cols.imm[i] = in.imm;
+        cols.imm[i] = static_cast<uint64_t>(in.imm);
     }
 }
 
@@ -129,103 +135,86 @@ scatterInstColumns(TraceChunk &chunk, const BlockColumns &cols,
         in.rd = cols.rd[i];
         in.rs1 = cols.rs1[i];
         in.rs2 = cols.rs2[i];
-        in.target = cols.target[i];
-        in.imm = cols.imm[i];
+        in.target = static_cast<uint32_t>(cols.target[i]);
+        in.imm = static_cast<int64_t>(cols.imm[i]);
     }
 }
 
+/** One on-disk column of a block: u8 bytes or 64-bit lanes. */
+struct Column
+{
+    const char *name;
+    size_t elemBytes; ///< raw element width: 1, 4 or 8
+    uint8_t *bytes;   ///< the u8 column, or null
+    uint64_t *lanes;  ///< the wide column, or null
+};
+
+/** @return the block's columns in on-disk order. The writer passes a
+ *  chunk it only reads. */
+std::array<Column, numColumns>
+columnsOf(BlockColumns &cols, TraceChunk &chunk)
+{
+    // value is int64_t; its unsigned lanes alias it legally
+    auto *value = reinterpret_cast<uint64_t *>(chunk.value.data());
+    return {{
+        {"op", 1, cols.op.data(), nullptr},
+        {"rd", 1, cols.rd.data(), nullptr},
+        {"rs1", 1, cols.rs1.data(), nullptr},
+        {"rs2", 1, cols.rs2.data(), nullptr},
+        {"flags", 1, chunk.flags.data(), nullptr},
+        {"target", 4, nullptr, cols.target.data()},
+        {"imm", 8, nullptr, cols.imm.data()},
+        {"seq", 8, nullptr, chunk.seq.data()},
+        {"pc", 8, nullptr, chunk.pc.data()},
+        {"nextPc", 8, nullptr, chunk.nextPc.data()},
+        {"value", 8, nullptr, value},
+        {"effAddr", 8, nullptr, chunk.effAddr.data()},
+    }};
+}
+
+// Like the headers, the u32 fields are the host's little-endian bytes.
 void
 appendLE32(std::vector<uint8_t> &out, uint32_t v)
 {
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-    out.push_back(static_cast<uint8_t>(v >> 16));
-    out.push_back(static_cast<uint8_t>(v >> 24));
+    const auto *b = reinterpret_cast<const uint8_t *>(&v);
+    out.insert(out.end(), b, b + 4);
 }
 
 uint32_t
 readLE32(const uint8_t *p)
 {
-    return static_cast<uint32_t>(p[0]) |
-           static_cast<uint32_t>(p[1]) << 8 |
-           static_cast<uint32_t>(p[2]) << 16 |
-           static_cast<uint32_t>(p[3]) << 24;
+    uint32_t v;
+    std::memcpy(&v, p, 4);
+    return v;
 }
 
-/** Reorder @p v into @p t as L interleaved phase subsequences. */
-template <typename T>
+/** Append @p c's first @p n elements as little-endian raw ones. */
 void
-transposePhases(const T *v, uint32_t n, uint32_t L, T *t)
+appendRaw(std::vector<uint8_t> &out, const Column &c, uint32_t n)
 {
-    size_t idx = 0;
-    for (uint32_t p = 0; p < L; ++p)
-        for (uint32_t i = p; i < n; i += L)
-            t[idx++] = v[i];
+    if (c.bytes) {
+        out.insert(out.end(), c.bytes, c.bytes + n);
+    } else if (c.elemBytes == 8) {
+        const auto *b = reinterpret_cast<const uint8_t *>(c.lanes);
+        out.insert(out.end(), b, b + size_t(n) * 8);
+    } else {
+        for (uint32_t i = 0; i < n; ++i)
+            appendLE32(out, static_cast<uint32_t>(c.lanes[i]));
+    }
 }
 
-/** Inverse of transposePhases(). */
-template <typename T>
+/** Inverse of appendRaw(): read @p n raw elements at @p p into @p c. */
 void
-untransposePhases(const T *t, uint32_t n, uint32_t L, T *v)
+readRaw(const uint8_t *p, const Column &c, uint32_t n)
 {
-    size_t idx = 0;
-    for (uint32_t p = 0; p < L; ++p)
-        for (uint32_t i = p; i < n; i += L)
-            v[i] = t[idx++];
-}
-
-/**
- * @return the period L (2..maxPeriod) at which the column's lag-L
- * deltas are most nearly constant per phase, or 1 when no period
- * shows a useful signal. Even a partial signal (a loop where only
- * some phases stride regularly) is worth transposing — the final
- * choice is by encoded size, so a bad guess costs nothing on disk.
- */
-uint32_t
-bestWidePeriod(const uint64_t *v, uint32_t n)
-{
-    if (n < 4 * 2)
-        return 1;
-    const uint32_t window = n < periodScanWindow ? n : periodScanWindow;
-    uint32_t bestL = 1;
-    uint64_t bestScore = 0;
-    for (uint32_t L = 2; L <= maxPeriod && 2 * L < window; ++L) {
-        // Lane kernel for the lag-L second-difference count: this
-        // scan runs once per candidate period for every encoded
-        // block and every profiled sampling window, and is the
-        // dominant cost of both callers.
-        uint64_t score = simd::countSecondDiffZero(v, window, L);
-        // Normalize so long and short periods compete fairly within
-        // the shared window.
-        score = score * window / (window - 2 * L);
-        if (score > bestScore && score * 8 >= window) {
-            bestScore = score;
-            bestL = L;
-        }
+    if (c.bytes) {
+        std::memcpy(c.bytes, p, n);
+    } else if (c.elemBytes == 8) {
+        std::memcpy(c.lanes, p, size_t(n) * 8);
+    } else {
+        for (uint32_t i = 0; i < n; ++i)
+            c.lanes[i] = readLE32(p + size_t(i) * 4);
     }
-    return bestL;
-}
-
-/** Same idea for u8 columns: lag-L equality instead of lag-L deltas. */
-uint32_t
-bestBytePeriod(const uint8_t *v, uint32_t n)
-{
-    if (n < 4 * 2)
-        return 1;
-    const uint32_t window = n < periodScanWindow ? n : periodScanWindow;
-    uint32_t bestL = 1;
-    uint64_t bestScore = 0;
-    for (uint32_t L = 2; L <= maxPeriod && L < window; ++L) {
-        uint64_t score = 0;
-        for (uint32_t i = L; i < window; ++i)
-            score += v[i] == v[i - L];
-        score = score * window / (window - L);
-        if (score > bestScore && score * 8 >= window) {
-            bestScore = score;
-            bestL = L;
-        }
-    }
-    return bestL;
 }
 
 TraceIoResult
@@ -234,29 +223,59 @@ ioError(TraceIoStatus status, std::string message)
     return TraceIoResult{status, std::move(message)};
 }
 
+/**
+ * The scan both period detectors share: @return the L in
+ * 2..maxPeriod whose @p score(window, L) — matches among the lag-L
+ * comparisons of a scan prefix — is best once normalised, or 1 when
+ * none reaches 1/8 of the window. @p lags is how many periods back
+ * one comparison reaches.
+ */
+template <typename Score>
+uint32_t
+bestPeriod(uint32_t n, uint32_t lags, Score &&score)
+{
+    if (n < 4 * 2)
+        return 1;
+    const uint32_t window = n < periodScanWindow ? n : periodScanWindow;
+    uint32_t bestL = 1;
+    uint64_t bestScore = 0;
+    for (uint32_t L = 2; L <= maxPeriod && lags * L < window; ++L) {
+        // Normalize so long and short periods compete fairly within
+        // the shared window.
+        uint64_t s = score(window, L) * window / (window - lags * L);
+        if (s > bestScore && s * 8 >= window) {
+            bestScore = s;
+            bestL = L;
+        }
+    }
+    return bestL;
+}
+
 } // anonymous namespace
 
 uint32_t
 detectStridePeriod(const uint64_t *v, uint32_t n)
 {
-    return bestWidePeriod(v, n);
+    // Lane kernel for the lag-L second-difference count: the scan
+    // runs once per candidate period for every profiled sampling
+    // window, and is the dominant cost of profiling.
+    return bestPeriod(n, 2, [v](uint32_t window, uint32_t L) {
+        return uint64_t(simd::countSecondDiffZero(v, window, L));
+    });
 }
 
-namespace detail {
-
-/** Heap scratch for block decoding (~250 KiB, reused per reader). */
-struct TraceDecodeScratch
+uint32_t
+detectBytePeriod(const uint8_t *v, uint32_t n)
 {
-    BlockColumns cols;
-    /// wide-lane staging for delta-decoded 64-bit columns
-    std::array<uint64_t, TraceChunk::capacity> lanes;
-    /// staging for phase-transposed codecs (decoded before the
-    /// un-transpose pass)
-    std::array<uint64_t, TraceChunk::capacity> lanesT;
-    std::array<uint8_t, TraceChunk::capacity> bytesT;
-};
-
-} // namespace detail
+    // op is a function of pc, so its byte period peaks at the loop
+    // length: the period that de-interleaves every column's phases.
+    return bestPeriod(n, 1, [v](uint32_t window, uint32_t L) {
+        uint64_t matches = 0;
+        for (uint32_t i = L; i < window; ++i)
+            matches += v[i] == v[i - L];
+        return matches;
+    });
+}
 
 const char *
 traceIoStatusName(TraceIoStatus s)
@@ -274,199 +293,153 @@ traceIoStatusName(TraceIoStatus s)
     return "unknown";
 }
 
-// -------------------------------------------------------- decoding
+// ------------------------------------------------------- the codecs
 
 namespace {
 
-/** Parse a transposed-codec prefix: the phase period L. */
-bool
-getPeriod(const uint8_t *&data, uint32_t &len, uint32_t n,
-          uint32_t *period)
+/**
+ * Append column @p c as one tagged v3 column (tag, u32 length,
+ * payload). The candidates are raw, the plain codecs and, when the
+ * block period @p L exceeds 1, their phase-transposed forms at L.
+ * Their sizes are computed exactly; the smallest wins, ties going to
+ * the transposed forms first and raw last, and only the winner is
+ * encoded.
+ */
+void
+putColumn(std::vector<uint8_t> &out, const Column &c, uint32_t n,
+          uint32_t L)
 {
-    uint64_t L = 0;
-    size_t used = codec::getVarint(data, data + len, &L);
-    if (used == 0 || L < 2 || L > n)
-        return false;
-    data += used;
-    len -= static_cast<uint32_t>(used);
-    *period = static_cast<uint32_t>(L);
-    return true;
+    std::array<size_t, 7> size; // by tag; SIZE_MAX = not a candidate
+    size.fill(SIZE_MAX);
+    size[codecRaw] = c.elemBytes * n;
+    const size_t periodBytes = codec::varintBytes(L);
+    if (c.bytes) {
+        size[codecByteRle] = codec::byteRleSize(c.bytes, n, 1);
+        if (L > 1)
+            size[codecByteRleT] =
+                periodBytes + codec::byteRleSize(c.bytes, n, L);
+    } else {
+        codec::DeltaSizes plain = codec::deltaSizes(c.lanes, n, 1);
+        size[codecDeltaVarint] = plain.varint;
+        size[codecDeltaRle] = plain.rle;
+        if (L > 1) {
+            codec::DeltaSizes phased = codec::deltaSizes(c.lanes, n, L);
+            size[codecDeltaVarintT] = periodBytes + phased.varint;
+            size[codecDeltaRleT] = periodBytes + phased.rle;
+        }
+    }
+    uint8_t tag = codecDeltaRleT;
+    for (uint8_t t : {codecByteRleT, codecDeltaVarintT, codecDeltaRle,
+                      codecByteRle, codecDeltaVarint, codecRaw})
+        if (size[t] < size[tag])
+            tag = t;
+
+    out.push_back(tag);
+    appendLE32(out, static_cast<uint32_t>(size[tag]));
+    const size_t start = out.size();
+    const uint32_t period = tag >= codecDeltaRleT ? L : 1;
+    if (period > 1)
+        codec::putVarint(out, L);
+    switch (tag) {
+    case codecRaw: appendRaw(out, c, n); break;
+    case codecDeltaVarint:
+    case codecDeltaVarintT:
+        codec::encodeDeltaVarint(c.lanes, n, period, out);
+        break;
+    case codecDeltaRle:
+    case codecDeltaRleT:
+        codec::encodeDeltaRle(c.lanes, n, period, out);
+        break;
+    default: codec::encodeByteRle(c.bytes, n, period, out); break;
+    }
+    GDIFF_ASSERT(out.size() - start == size[tag],
+                 "column '%s' (codec %u) encoded to %zu bytes, sized %zu",
+                 c.name, tag, out.size() - start, size[tag]);
 }
 
 /**
- * Decode one v3 column payload into @p dest64 lanes (wide columns)
- * or @p dest8 bytes (u8 columns). Exactly one of dest64/dest8 is
- * non-null; @p elemBytes is the raw element width (1, 4, or 8).
+ * Decode one v3 column payload straight into column @p c: the
+ * transposed codecs write their phases in place.
  * @return false on any structural violation.
  */
 bool
 decodeColumn(uint8_t tag, const uint8_t *data, uint32_t len,
-             uint32_t n, size_t elemBytes, uint64_t *dest64,
-             uint8_t *dest8, detail::TraceDecodeScratch &s)
+             uint32_t n, const Column &c)
 {
-    if (dest8) {
-        switch (tag) {
-        case codecRaw:
-            if (len != n)
-                return false;
-            std::memcpy(dest8, data, n);
-            return true;
-        case codecByteRle:
-            return codec::decodeByteRle(data, len, dest8, n);
-        case codecByteRleT: {
-            uint32_t L = 0;
-            if (!getPeriod(data, len, n, &L))
-                return false;
-            if (!codec::decodeByteRle(data, len, s.bytesT.data(), n))
-                return false;
-            untransposePhases(s.bytesT.data(), n, L, dest8);
-            return true;
-        }
-        default:
-            return false; // delta codecs never apply to u8 columns
-        }
+    uint32_t L = 1;
+    if (tag >= codecDeltaRleT) { // transposed: the period L leads
+        uint64_t period = 0;
+        size_t used = codec::getVarint(data, data + len, &period);
+        if (used == 0 || period < 2 || period > n)
+            return false;
+        data += used;
+        len -= static_cast<uint32_t>(used);
+        L = static_cast<uint32_t>(period);
     }
     switch (tag) {
-    case codecRaw: {
-        if (len != elemBytes * n)
+    case codecRaw:
+        if (len != c.elemBytes * n)
             return false;
-        if (elemBytes == 8) {
-            std::memcpy(dest64, data, len);
-        } else { // widen raw u32 elements into the lanes
-            for (uint32_t i = 0; i < n; ++i)
-                dest64[i] = readLE32(data + size_t(i) * 4);
-        }
+        readRaw(data, c, n);
         return true;
-    }
     case codecDeltaVarint:
-        return codec::decodeDeltaVarint(data, len, dest64, n);
+    case codecDeltaVarintT:
+        return c.lanes &&
+               codec::decodeDeltaVarint(data, len, c.lanes, n, L);
     case codecDeltaRle:
-        return codec::decodeDeltaRle(data, len, dest64, n);
     case codecDeltaRleT:
-    case codecDeltaVarintT: {
-        uint32_t L = 0;
-        if (!getPeriod(data, len, n, &L))
-            return false;
-        bool ok = tag == codecDeltaRleT
-                      ? codec::decodeDeltaRle(data, len,
-                                              s.lanesT.data(), n)
-                      : codec::decodeDeltaVarint(data, len,
-                                                 s.lanesT.data(), n);
-        if (!ok)
-            return false;
-        untransposePhases(s.lanesT.data(), n, L, dest64);
-        return true;
-    }
+        return c.lanes && codec::decodeDeltaRle(data, len, c.lanes, n, L);
+    case codecByteRle:
+    case codecByteRleT:
+        return c.bytes && codec::decodeByteRle(data, len, c.bytes, n, L);
     default:
         return false;
     }
 }
 
 /**
- * Decode a complete v3 column section (@p bytes bytes at @p payload)
- * into @p chunk. On failure @p why names the offending column.
+ * Decode a complete column section (@p bytes bytes at @p payload)
+ * into @p chunk: v3's tagged columns, or with @p tagged false v2's
+ * raw ones. On failure @p why names the offending column.
  */
 bool
-decodeColumnsV3(const uint8_t *payload, size_t bytes, uint32_t n,
-                TraceChunk &chunk, detail::TraceDecodeScratch &s,
-                std::string *why)
+decodeColumns(const uint8_t *payload, size_t bytes, uint32_t n,
+              bool tagged, TraceChunk &chunk, BlockColumns &cols,
+              std::string *why)
 {
     const uint8_t *p = payload;
     const uint8_t *end = payload + bytes;
-
-    struct ColumnDest
-    {
-        const char *name;
-        size_t elemBytes;
-        uint64_t *dest64;
-        uint8_t *dest8;
-    };
-    // On-disk column order. Wide signed/narrow columns stage through
-    // scratch lanes; unsigned 64-bit columns decode in place.
-    const ColumnDest columns[numColumns] = {
-        {"op", 1, nullptr, s.cols.op.data()},
-        {"rd", 1, nullptr, s.cols.rd.data()},
-        {"rs1", 1, nullptr, s.cols.rs1.data()},
-        {"rs2", 1, nullptr, s.cols.rs2.data()},
-        {"flags", 1, nullptr, chunk.flags.data()},
-        {"target", 4, s.lanes.data(), nullptr},
-        {"imm", 8, s.lanes.data(), nullptr},
-        {"seq", 8, chunk.seq.data(), nullptr},
-        {"pc", 8, chunk.pc.data(), nullptr},
-        {"nextPc", 8, chunk.nextPc.data(), nullptr},
-        {"value", 8, s.lanes.data(), nullptr},
-        {"effAddr", 8, chunk.effAddr.data(), nullptr},
-    };
-
-    for (unsigned c = 0; c < numColumns; ++c) {
-        const ColumnDest &col = columns[c];
-        if (end - p < 5) {
-            *why = "column directory truncated";
-            return false;
+    for (const Column &c : columnsOf(cols, chunk)) {
+        uint8_t tag = codecRaw;
+        auto len = static_cast<uint32_t>(c.elemBytes * n);
+        if (tagged) {
+            if (end - p < 5) {
+                *why = "column directory truncated";
+                return false;
+            }
+            tag = p[0];
+            len = readLE32(p + 1);
+            p += 5;
         }
-        uint8_t tag = p[0];
-        uint32_t len = readLE32(p + 1);
-        p += 5;
         if (static_cast<size_t>(end - p) < len) {
-            *why = std::string("column '") + col.name +
+            *why = std::string("column '") + c.name +
                    "' overruns the block payload";
             return false;
         }
-        if (!decodeColumn(tag, p, len, n, col.elemBytes, col.dest64,
-                          col.dest8, s)) {
-            *why = std::string("column '") + col.name +
+        if (!decodeColumn(tag, p, len, n, c)) {
+            *why = std::string("column '") + c.name +
                    "' payload is malformed";
             return false;
         }
         p += len;
-
-        // Move staged lanes into their typed destinations.
-        if (col.dest64 == s.lanes.data()) {
-            if (col.name[0] == 't') { // target
-                for (uint32_t i = 0; i < n; ++i)
-                    s.cols.target[i] =
-                        static_cast<uint32_t>(s.lanes[i]);
-            } else if (col.name[0] == 'i') { // imm
-                std::memcpy(s.cols.imm.data(), s.lanes.data(),
-                            size_t(n) * 8);
-            } else { // value
-                std::memcpy(chunk.value.data(), s.lanes.data(),
-                            size_t(n) * 8);
-            }
-        }
     }
     if (p != end) {
         *why = "trailing bytes after the last column";
         return false;
     }
-    scatterInstColumns(chunk, s.cols, n);
+    scatterInstColumns(chunk, cols, n);
     chunk.size = n;
     return true;
-}
-
-/** Decode a raw v2 column section (exactly v2RecordBytes*n bytes). */
-void
-decodeColumnsV2(const uint8_t *p, uint32_t n, TraceChunk &chunk,
-                detail::TraceDecodeScratch &s)
-{
-    auto take = [&](void *dest, size_t elemBytes) {
-        std::memcpy(dest, p, elemBytes * n);
-        p += elemBytes * n;
-    };
-    take(s.cols.op.data(), 1);
-    take(s.cols.rd.data(), 1);
-    take(s.cols.rs1.data(), 1);
-    take(s.cols.rs2.data(), 1);
-    take(chunk.flags.data(), 1);
-    take(s.cols.target.data(), 4);
-    take(s.cols.imm.data(), 8);
-    take(chunk.seq.data(), 8);
-    take(chunk.pc.data(), 8);
-    take(chunk.nextPc.data(), 8);
-    take(chunk.value.data(), 8);
-    take(chunk.effAddr.data(), 8);
-    scatterInstColumns(chunk, s.cols, n);
-    chunk.size = n;
 }
 
 /** Validate a file header; fills @p version/@p count on success. */
@@ -498,7 +471,8 @@ checkHeader(const FileHeader &h, const std::string &name,
 // ----------------------------------------------------- TraceWriter
 
 TraceWriter::TraceWriter(const std::string &p, uint32_t version)
-    : path(p), ver(version), fileDigest(codec::fnvOffsetBasis)
+    : path(p), ver(version), fileDigest(codec::fnvOffsetBasis),
+      cols(std::make_unique<detail::BlockColumns>())
 {
     GDIFF_ASSERT(ver == traceVersionV2 || ver == traceVersionV3,
                  "unsupported trace write version %u", ver);
@@ -579,118 +553,25 @@ TraceWriter::writeBlock(const TraceChunk &chunk)
     if (status.failed())
         return;
 
-    auto cols = std::make_unique<BlockColumns>();
     gatherInstColumns(chunk, *cols);
-
+    // The writer only reads the chunk's columns.
+    const auto columns =
+        columnsOf(*cols, const_cast<TraceChunk &>(chunk));
+    payload.clear();
     if (ver == traceVersionV2) {
+        for (const Column &c : columns)
+            appendRaw(payload, c, n);
         writeRaw(&n, sizeof(n));
-        writeRaw(cols->op.data(), n);
-        writeRaw(cols->rd.data(), n);
-        writeRaw(cols->rs1.data(), n);
-        writeRaw(cols->rs2.data(), n);
-        writeRaw(chunk.flags.data(), n);
-        writeRaw(cols->target.data(), size_t(n) * 4);
-        writeRaw(cols->imm.data(), size_t(n) * 8);
-        writeRaw(chunk.seq.data(), size_t(n) * 8);
-        writeRaw(chunk.pc.data(), size_t(n) * 8);
-        writeRaw(chunk.nextPc.data(), size_t(n) * 8);
-        writeRaw(chunk.value.data(), size_t(n) * 8);
-        writeRaw(chunk.effAddr.data(), size_t(n) * 8);
+        writeRaw(payload.data(), payload.size());
         return;
     }
 
-    // v3: encode each column, keeping the smallest of the candidate
-    // encodings, raw included — incompressible columns cost only the
-    // 5-byte tag+length framing over v2.
-    payload.clear();
-    auto putTagged = [&](uint8_t tag, const uint8_t *data,
-                         size_t bytes) {
-        payload.push_back(tag);
-        appendLE32(payload, static_cast<uint32_t>(bytes));
-        payload.insert(payload.end(), data, data + bytes);
-    };
-    auto lanes = std::make_unique<
-        std::array<uint64_t, TraceChunk::capacity>>();
-    auto transposed = std::make_unique<
-        std::array<uint64_t, TraceChunk::capacity>>();
-    auto bytesT = std::make_unique<
-        std::array<uint8_t, TraceChunk::capacity>>();
-
-    auto putU8 = [&](const uint8_t *col) {
-        candA.clear();
-        codec::encodeByteRle(col, n, candA);
-        candC.clear();
-        uint32_t L = bestBytePeriod(col, n);
-        if (L > 1) { // periodic u8 stream: RLE each phase
-            codec::putVarint(candC, L);
-            transposePhases(col, n, L, bytesT->data());
-            codec::encodeByteRle(bytesT->data(), n, candC);
-        }
-        size_t best = std::min<size_t>(n, candA.size());
-        if (!candC.empty())
-            best = std::min(best, candC.size());
-        if (!candC.empty() && candC.size() == best)
-            putTagged(codecByteRleT, candC.data(), candC.size());
-        else if (candA.size() == best)
-            putTagged(codecByteRle, candA.data(), candA.size());
-        else
-            putTagged(codecRaw, col, n);
-    };
-    auto putWide = [&](const uint64_t *v, const void *raw,
-                       size_t elemBytes) {
-        candA.clear();
-        codec::encodeDeltaVarint(v, n, candA);
-        candB.clear();
-        codec::encodeDeltaRle(v, n, candB);
-        candC.clear();
-        candD.clear();
-        uint32_t L = bestWidePeriod(v, n);
-        if (L > 1) { // interleaved strides: encode each phase
-            transposePhases(v, n, L, transposed->data());
-            codec::putVarint(candC, L);
-            codec::encodeDeltaRle(transposed->data(), n, candC);
-            codec::putVarint(candD, L);
-            codec::encodeDeltaVarint(transposed->data(), n, candD);
-        }
-        size_t rawBytes = elemBytes * n;
-        size_t best = std::min(rawBytes,
-                               std::min(candA.size(), candB.size()));
-        if (!candC.empty())
-            best = std::min(best, std::min(candC.size(),
-                                           candD.size()));
-        if (!candC.empty() && candC.size() == best)
-            putTagged(codecDeltaRleT, candC.data(), candC.size());
-        else if (!candD.empty() && candD.size() == best)
-            putTagged(codecDeltaVarintT, candD.data(), candD.size());
-        else if (candB.size() == best)
-            putTagged(codecDeltaRle, candB.data(), candB.size());
-        else if (candA.size() == best)
-            putTagged(codecDeltaVarint, candA.data(), candA.size());
-        else
-            putTagged(codecRaw, static_cast<const uint8_t *>(raw),
-                      rawBytes);
-    };
-
-    auto widen32 = [&](const uint32_t *src) {
-        for (uint32_t i = 0; i < n; ++i)
-            (*lanes)[i] = src[i];
-        return lanes->data();
-    };
-
-    putU8(cols->op.data());
-    putU8(cols->rd.data());
-    putU8(cols->rs1.data());
-    putU8(cols->rs2.data());
-    putU8(chunk.flags.data());
-    putWide(widen32(cols->target.data()), cols->target.data(), 4);
-    putWide(reinterpret_cast<const uint64_t *>(cols->imm.data()),
-            cols->imm.data(), 8);
-    putWide(chunk.seq.data(), chunk.seq.data(), 8);
-    putWide(chunk.pc.data(), chunk.pc.data(), 8);
-    putWide(chunk.nextPc.data(), chunk.nextPc.data(), 8);
-    putWide(reinterpret_cast<const uint64_t *>(chunk.value.data()),
-            chunk.value.data(), 8);
-    putWide(chunk.effAddr.data(), chunk.effAddr.data(), 8);
+    // v3: one period scan per block, then each column encoded once
+    // with its smallest codec (raw included — incompressible columns
+    // cost only the 5-byte tag+length framing over v2).
+    const uint32_t L = detectBytePeriod(cols->op.data(), n);
+    for (const Column &c : columns)
+        putColumn(payload, c, n, L);
 
     BlockHeaderV3 bh{n, static_cast<uint32_t>(payload.size()),
                      codec::fnv1a(payload.data(), payload.size())};
@@ -734,7 +615,7 @@ TraceWriter::close()
 // ------------------------------------------------- TraceFileReader
 
 TraceFileReader::TraceFileReader()
-    : scratch(std::make_unique<detail::TraceDecodeScratch>())
+    : cols(std::make_unique<detail::BlockColumns>())
 {}
 
 TraceFileReader::~TraceFileReader()
@@ -875,7 +756,9 @@ TraceFileReader::read(TraceChunk &chunk)
             v2RecordBytes * n) {
             return truncated();
         }
-        decodeColumnsV2(cursor + 4, n, chunk, *scratch);
+        std::string unused; // raw columns of a checked length
+        decodeColumns(cursor + 4, v2RecordBytes * n, n, false, chunk,
+                      *cols, &unused);
         cursor += 4 + v2RecordBytes * n;
         consumed += n;
         return TraceIoResult{};
@@ -908,8 +791,8 @@ TraceFileReader::read(TraceChunk &chunk)
                          static_cast<unsigned long long>(consumed)));
     }
     std::string why;
-    if (!decodeColumnsV3(payload, bh.payloadBytes, bh.n, chunk,
-                         *scratch, &why)) {
+    if (!decodeColumns(payload, bh.payloadBytes, bh.n, true, chunk, *cols,
+                       &why)) {
         return ioError(
             TraceIoStatus::Corrupt,
             formatString("trace '%s' has a corrupt block: %s",

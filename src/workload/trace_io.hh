@@ -16,10 +16,13 @@
  *  - Version 3 (chunked columnar, stride-delta compressed): each
  *    block is a u32 record count, a u32 payload length, a u64 FNV-1a
  *    digest of the payload, and then one *codec-tagged* column per
- *    field: the writer delta-encodes each column (util/varint.hh —
- *    zigzag-varint deltas, or run-length coded deltas for
- *    constant-stride spans) and keeps whichever encoding is smallest,
- *    falling back to the raw column when the data is incompressible.
+ *    field (util/varint.hh — zigzag-varint deltas, run-length coded
+ *    deltas for constant-stride spans, byte runs, each optionally
+ *    visited phase by phase at the block's loop period). The writer
+ *    finds one period per block from the op column, computes every
+ *    candidate codec's exact size, and encodes each column once with
+ *    the smallest, falling back to the raw column when the data is
+ *    incompressible.
  *    A 16-byte footer carries an FNV-1a digest of every block byte,
  *    so whole-file integrity can be checked cheaply (the persistent
  *    disk cache does, before trusting an entry). Stride-dominant
@@ -94,6 +97,11 @@ struct TraceIoResult
     bool failed() const { return !ok() && !end(); }
 };
 
+namespace detail {
+/// instruction-field column scratch of a writer or reader (~80 KiB)
+struct BlockColumns;
+} // namespace detail
+
 /** Writes TraceRecords to a binary trace file in chunked blocks. */
 class TraceWriter
 {
@@ -148,14 +156,9 @@ class TraceWriter
     uint64_t fileDigest = 0; ///< running FNV over v3 block bytes
     TraceIoResult status;    ///< first failure, sticky
     std::unique_ptr<TraceChunk> pending;
-    /// reusable encode scratch (payload build + candidate encodings)
-    std::vector<uint8_t> payload, candA, candB, candC, candD;
+    std::unique_ptr<detail::BlockColumns> cols; ///< gather scratch
+    std::vector<uint8_t> payload;               ///< block being built
 };
-
-namespace detail {
-/// decode scratch of a reader (heap-allocated: ~100 KiB)
-struct TraceDecodeScratch;
-} // namespace detail
 
 /**
  * Trace-file reader with typed, recoverable errors.
@@ -218,7 +221,7 @@ class TraceFileReader
     uint64_t total = 0;
     uint64_t consumed = 0;
     uint64_t runningDigest = 0;
-    std::unique_ptr<detail::TraceDecodeScratch> scratch;
+    std::unique_ptr<detail::BlockColumns> cols; ///< decode scratch
 };
 
 /**
@@ -245,14 +248,23 @@ class TraceFileSource : public TraceSource
 };
 
 /**
- * The v3 codec's phase/period detector, exported for phase-aware
- * sampling strata (src/sample/): @return the period L (2..48) at
- * which the column's lag-L deltas are most nearly constant per phase
- * over a <= 2048-element scan prefix, or 1 when no period shows a
- * useful signal. A stream's (value-period, pc-period) pair is a cheap
- * fingerprint of which loop phase it is in.
+ * Phase/period detector for phase-aware sampling strata (src/sample/)
+ * and check::mine: @return the period L (2..48) at which the column's
+ * lag-L deltas are most nearly constant per phase over a <= 2048-
+ * element scan prefix, or 1 when no period shows a useful signal. A
+ * stream's (value-period, pc-period) pair is a cheap fingerprint of
+ * which loop phase it is in.
  */
 uint32_t detectStridePeriod(const uint64_t *v, uint32_t n);
+
+/**
+ * The v3 writer's block period: @return the period L (2..48) at which
+ * the u8 column most often repeats itself (v[i] == v[i-L]) over a
+ * <= 2048-element scan prefix, or 1 when no period shows a useful
+ * signal. The writer scans each block's op column once and offers
+ * every column's phase-transposed codecs at that one L.
+ */
+uint32_t detectBytePeriod(const uint8_t *v, uint32_t n);
 
 } // namespace workload
 } // namespace gdiff

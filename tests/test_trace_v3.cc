@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -280,17 +281,12 @@ expectFlipDetected(std::vector<uint8_t> image, size_t offset,
         EXPECT_TRUE(res.failed());
 }
 
-TEST(TraceV3Corruption, ByteFlipsYieldTypedErrors)
+/** Flip bytes over every region of a v3 @p image of @p original. */
+void
+flipBattery(const std::vector<uint8_t> &image,
+            const std::vector<TraceRecord> &original)
 {
-    // micro.affine mixes compressible and dense columns, so the file
-    // exercises raw, delta, RLE, and transposed codecs at once.
-    auto original = generateRecords("micro.affine", 2, 10000);
-    std::string path = tempRoot("flips") + ".gdtr";
-    writeRecords(path, original, traceVersionV3);
-    std::vector<uint8_t> image = slurp(path);
-    std::remove(path.c_str());
-    ASSERT_GT(image.size(), 256u);
-
+    ASSERT_GT(image.size(), 96u);
     // Deterministic LCG picks the flip mask so reruns are identical.
     uint64_t rng = 0x9e3779b97f4a7c15ull;
     auto nextMask = [&rng]() {
@@ -310,6 +306,19 @@ TEST(TraceV3Corruption, ByteFlipsYieldTypedErrors)
     // ...and dense coverage of the footer digest.
     for (size_t off = image.size() - 32; off < image.size(); ++off)
         expectFlipDetected(image, off, nextMask(), original);
+}
+
+TEST(TraceV3Corruption, ByteFlipsYieldTypedErrors)
+{
+    // micro.affine mixes compressible and dense columns, so the file
+    // exercises raw, delta, RLE, and transposed codecs at once.
+    auto original = generateRecords("micro.affine", 2, 10000);
+    std::string path = tempRoot("flips") + ".gdtr";
+    writeRecords(path, original, traceVersionV3);
+    std::vector<uint8_t> image = slurp(path);
+    std::remove(path.c_str());
+    ASSERT_GT(image.size(), 256u);
+    flipBattery(image, original);
 }
 
 TEST(TraceV3Corruption, FileReaderSurvivesFlipsToo)
@@ -335,14 +344,10 @@ TEST(TraceV3Corruption, FileReaderSurvivesFlipsToo)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3Corruption, TruncationsYieldTypedErrors)
+/** Every cut of a v3 @p image must fail to read cleanly. */
+void
+truncationBattery(const std::vector<uint8_t> &image)
 {
-    auto original = generateRecords("micro.affine", 4, 8000);
-    std::string path = tempRoot("trunc") + ".gdtr";
-    writeRecords(path, original, traceVersionV3);
-    std::vector<uint8_t> image = slurp(path);
-    std::remove(path.c_str());
-
     auto check = [&](size_t len) {
         std::vector<uint8_t> cut(image.begin(), image.begin() + len);
         std::vector<TraceRecord> got;
@@ -358,6 +363,16 @@ TEST(TraceV3Corruption, TruncationsYieldTypedErrors)
         check(len);
     for (size_t len = image.size() - 80; len < image.size(); ++len)
         check(len);
+}
+
+TEST(TraceV3Corruption, TruncationsYieldTypedErrors)
+{
+    auto original = generateRecords("micro.affine", 4, 8000);
+    std::string path = tempRoot("trunc") + ".gdtr";
+    writeRecords(path, original, traceVersionV3);
+    std::vector<uint8_t> image = slurp(path);
+    std::remove(path.c_str());
+    truncationBattery(image);
 }
 
 TEST(TraceV3Corruption, HostileVarintsAreRejected)
@@ -378,7 +393,8 @@ TEST(TraceV3Corruption, HostileVarintsAreRejected)
     codec::putVarint(enc, codec::zigzagEncode(1)); // delta 1
     codec::putVarint(enc, 1000);                   // run 1000
     uint64_t out[8];
-    EXPECT_FALSE(codec::decodeDeltaRle(enc.data(), enc.size(), out, 8));
+    EXPECT_FALSE(
+        codec::decodeDeltaRle(enc.data(), enc.size(), out, 8, 1));
 
     // Trailing bytes after the declared element count.
     std::vector<uint8_t> exact;
@@ -386,7 +402,326 @@ TEST(TraceV3Corruption, HostileVarintsAreRejected)
     codec::putVarint(exact, 4);
     exact.push_back(0x00);
     EXPECT_FALSE(
-        codec::decodeDeltaRle(exact.data(), exact.size(), out, 4));
+        codec::decodeDeltaRle(exact.data(), exact.size(), out, 4, 1));
+}
+
+// ------------------------------------------------- codec properties
+
+/** Fuzzed 64-bit columns of the shapes a trace column takes. */
+std::vector<uint64_t>
+fuzzWideColumn(uint32_t n, unsigned shape, uint64_t &rng)
+{
+    auto next = [&rng]() {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return rng >> 11;
+    };
+    std::vector<uint64_t> v(n);
+    uint64_t x = next();
+    for (uint32_t i = 0; i < n; ++i) {
+        switch (shape) {
+        case 0: v[i] = next() << (next() % 40); break;  // noise
+        case 1: v[i] = x + 8 * i; break;                 // one stride
+        case 2: v[i] = x + 16 * (i / 5) + 1000 * (i % 5); break; // phased
+        case 3: v[i] = (next() % 4) ? x : next(); x = v[i]; break; // runs
+        default: v[i] = ~uint64_t(0) - 3 * i; break;      // wraps
+        }
+    }
+    return v;
+}
+
+TEST(TraceV3Codec, SizesMatchEncodingsAndStridedDecodesRoundTrip)
+{
+    // n is never a multiple of L > 1, so the last phase is short;
+    // 20011 makes one stride run longer than 2^14 elements.
+    uint64_t rng = 42;
+    for (uint32_t n : {1u, 13u, 97u, 4093u, 20011u}) {
+        for (uint32_t L : {1u, 2u, 7u, 48u, n}) {
+            if (L > n)
+                continue;
+            for (unsigned shape = 0; shape < 5; ++shape) {
+                std::string what = "n " + std::to_string(n) + " L " +
+                                   std::to_string(L) + " shape " +
+                                   std::to_string(shape);
+                auto v = fuzzWideColumn(n, shape, rng);
+                codec::DeltaSizes sizes =
+                    codec::deltaSizes(v.data(), n, L);
+                std::vector<uint64_t> got(n);
+
+                std::vector<uint8_t> enc;
+                codec::encodeDeltaVarint(v.data(), n, L, enc);
+                EXPECT_EQ(enc.size(), sizes.varint) << what;
+                ASSERT_TRUE(codec::decodeDeltaVarint(
+                    enc.data(), enc.size(), got.data(), n, L))
+                    << what;
+                EXPECT_EQ(got, v) << "deltaVarint " << what;
+
+                enc.clear();
+                codec::encodeDeltaRle(v.data(), n, L, enc);
+                EXPECT_EQ(enc.size(), sizes.rle) << what;
+                std::fill(got.begin(), got.end(), 0);
+                ASSERT_TRUE(codec::decodeDeltaRle(enc.data(), enc.size(),
+                                                  got.data(), n, L))
+                    << what;
+                EXPECT_EQ(got, v) << "deltaRle " << what;
+
+                std::vector<uint8_t> bytes(n);
+                for (uint32_t i = 0; i < n; ++i)
+                    bytes[i] = static_cast<uint8_t>(v[i] % 3);
+                enc.clear();
+                codec::encodeByteRle(bytes.data(), n, L, enc);
+                EXPECT_EQ(enc.size(),
+                          codec::byteRleSize(bytes.data(), n, L))
+                    << what;
+                std::vector<uint8_t> gotBytes(n);
+                ASSERT_TRUE(codec::decodeByteRle(enc.data(), enc.size(),
+                                                 gotBytes.data(), n, L))
+                    << what;
+                EXPECT_EQ(gotBytes, bytes) << "byteRle " << what;
+            }
+        }
+    }
+}
+
+/** A trace chunk's 12 on-disk columns, in file order. */
+struct ChunkColumns
+{
+    std::vector<std::vector<uint8_t>> bytes;  // op rd rs1 rs2 flags
+    std::vector<std::vector<uint64_t>> wide;  // target .. effAddr
+};
+
+ChunkColumns
+columnsOfChunk(const TraceChunk &c)
+{
+    ChunkColumns cols;
+    cols.bytes.assign(5, std::vector<uint8_t>(c.size));
+    cols.wide.assign(7, std::vector<uint64_t>(c.size));
+    for (uint32_t i = 0; i < c.size; ++i) {
+        const isa::Instruction &in = c.inst[i];
+        const uint8_t b[5] = {static_cast<uint8_t>(in.op), in.rd, in.rs1,
+                              in.rs2, c.flags[i]};
+        const uint64_t w[7] = {in.target,     static_cast<uint64_t>(in.imm),
+                               c.seq[i],      c.pc[i],
+                               c.nextPc[i],   static_cast<uint64_t>(c.value[i]),
+                               c.effAddr[i]};
+        for (unsigned k = 0; k < 5; ++k)
+            cols.bytes[k][i] = b[k];
+        for (unsigned k = 0; k < 7; ++k)
+            cols.wide[k][i] = w[k];
+    }
+    return cols;
+}
+
+uint32_t
+le32(const uint8_t *p)
+{
+    return p[0] | p[1] << 8 | p[2] << 16 | uint32_t(p[3]) << 24;
+}
+
+TEST(TraceV3Codec, EachColumnIsItsSmallestCandidate)
+{
+    // The writer must emit, per column, the smallest of raw and the
+    // plain and phase-transposed codecs at {1, block period}: that is
+    // what keeps every column within its raw size (and the reader's
+    // payload bound sound). All transposed columns of a block share
+    // the one block period.
+    for (const char *kernel :
+         {"mcf", "perl", "gcc", "micro.periodic", "micro.affine"}) {
+        auto trace = MaterializedTrace::generate(kernel, 1, 3 * 4096 + 77);
+        std::string path = tempRoot("smallest") + ".gdtr";
+        {
+            TraceWriter writer(path);
+            for (const auto &chunk : trace->chunks())
+                writer.append(*chunk);
+            writer.close();
+        }
+        std::vector<uint8_t> image = slurp(path);
+        std::remove(path.c_str());
+
+        const uint8_t *p = image.data() + 16; // file header
+        for (const auto &chunk : trace->chunks()) {
+            const uint32_t n = chunk->size;
+            ASSERT_EQ(le32(p), n) << kernel;
+            p += 16; // block header
+            ChunkColumns cols = columnsOfChunk(*chunk);
+            const uint32_t L = detectBytePeriod(cols.bytes[0].data(), n);
+            const size_t periodBytes = codec::varintBytes(L);
+            for (unsigned c = 0; c < 12; ++c) {
+                const uint8_t tag = p[0];
+                const uint32_t len = le32(p + 1);
+                std::vector<size_t> cands;
+                if (c < 5) {
+                    const uint8_t *v = cols.bytes[c].data();
+                    cands = {n, codec::byteRleSize(v, n, 1)};
+                    if (L > 1)
+                        cands.push_back(periodBytes +
+                                        codec::byteRleSize(v, n, L));
+                } else {
+                    const uint64_t *v = cols.wide[c - 5].data();
+                    codec::DeltaSizes plain = codec::deltaSizes(v, n, 1);
+                    cands = {(c == 5 ? 4u : 8u) * n, plain.varint,
+                             plain.rle};
+                    if (L > 1) {
+                        codec::DeltaSizes phased =
+                            codec::deltaSizes(v, n, L);
+                        cands.push_back(periodBytes + phased.varint);
+                        cands.push_back(periodBytes + phased.rle);
+                    }
+                }
+                std::string what = std::string(kernel) + " column " +
+                                   std::to_string(c) + " tag " +
+                                   std::to_string(tag);
+                EXPECT_EQ(len, *std::min_element(cands.begin(),
+                                                 cands.end()))
+                    << what;
+                EXPECT_LE(len, cands[0]) << what << " exceeds raw";
+                if (tag >= 4) { // transposed: L leads the payload
+                    uint64_t got = 0;
+                    ASSERT_GT(codec::getVarint(p + 5, p + 5 + len, &got),
+                              0u);
+                    EXPECT_EQ(got, L) << what;
+                }
+                p += 5 + len;
+            }
+        }
+    }
+}
+
+/** Append @p v little-endian in @p bytes bytes. */
+void
+putLE(std::vector<uint8_t> &out, uint64_t v, unsigned bytes)
+{
+    for (unsigned b = 0; b < bytes; ++b)
+        out.push_back(static_cast<uint8_t>(v >> (8 * b)));
+}
+
+/**
+ * Hand-encode one column with codec @p tag at period @p L (used by
+ * the transposed tags 4-6), independently of the writer's encoders:
+ * elements are visited phase-major and delta/run state carries
+ * across phases.
+ */
+std::vector<uint8_t>
+handEncode(uint8_t tag, const std::vector<uint64_t> &v, unsigned width,
+           uint32_t L)
+{
+    std::vector<uint8_t> out;
+    if (tag == 0) {
+        for (uint64_t x : v)
+            putLE(out, x, width);
+        return out;
+    }
+    std::vector<uint64_t> order;
+    if (tag >= 4) {
+        codec::putVarint(out, L);
+        for (uint32_t p = 0; p < L; ++p)
+            for (size_t i = p; i < v.size(); i += L)
+                order.push_back(v[i]);
+    } else {
+        order = v;
+    }
+    // symbols: bytes for the byte codecs, zigzag deltas otherwise
+    const bool bytes = tag == 3 || tag == 5;
+    std::vector<uint64_t> syms;
+    uint64_t prev = 0;
+    for (uint64_t x : order) {
+        syms.push_back(bytes ? x
+                             : codec::zigzagEncode(
+                                   static_cast<int64_t>(x - prev)));
+        prev = x;
+    }
+    if (tag == 1 || tag == 6) { // deltaVarint(T)
+        for (uint64_t z : syms)
+            codec::putVarint(out, z);
+        return out;
+    }
+    for (size_t i = 0; i < syms.size();) { // run-length codecs
+        size_t run = 1;
+        while (i + run < syms.size() && syms[i + run] == syms[i])
+            ++run;
+        if (bytes)
+            out.push_back(static_cast<uint8_t>(syms[i]));
+        else
+            codec::putVarint(out, syms[i]);
+        codec::putVarint(out, run);
+        i += run;
+    }
+    return out;
+}
+
+TEST(TraceV3Compat, HandBuiltBlockPerTagDecodes)
+{
+    // One block per codec tag 0-6, bytes built by hand: files written
+    // by any v3 writer keep decoding even if the current writer stops
+    // choosing a tag.
+    const uint32_t n = 41; // not a multiple of the period
+    const uint32_t L = 3;
+    std::vector<TraceRecord> want;
+    std::vector<uint8_t> image;
+    putLE(image, 0x52544447, 4); // "GDTR"
+    putLE(image, traceVersionV3, 4);
+    putLE(image, 7 * n, 8);
+    uint64_t fileDigest = codec::fnvOffsetBasis;
+
+    for (uint8_t tag = 0; tag <= 6; ++tag) {
+        std::vector<TraceRecord> block(n);
+        for (uint32_t i = 0; i < n; ++i) {
+            TraceRecord &r = block[i];
+            const uint32_t k = tag * n + i;
+            r.inst.op = static_cast<isa::Opcode>(1 + k % L);
+            r.inst.rd = static_cast<uint8_t>(k % L == 0 ? 5 : 6);
+            r.inst.rs1 = static_cast<uint8_t>(i / 10);
+            r.inst.rs2 = static_cast<uint8_t>(7);
+            r.inst.target = 0x400 + 4 * (k % L);
+            r.inst.imm = -static_cast<int64_t>(k % L) * 9;
+            r.seq = k;
+            r.pc = 0x1000 + 4 * (k % L);
+            r.nextPc = r.pc + 4;
+            r.value = static_cast<int64_t>(k * k) - 300;
+            r.effAddr = 0x8000 + 64 * k + (k % L);
+            r.taken = k % 5 == 0;
+        }
+        auto chunk = std::make_unique<TraceChunk>();
+        for (const auto &r : block)
+            chunk->push(r);
+        // read the flags and fields back as the chunk stores them
+        for (uint32_t i = 0; i < n; ++i)
+            want.push_back(chunk->record(i));
+        ChunkColumns cols = columnsOfChunk(*chunk);
+
+        std::vector<uint8_t> payload;
+        for (unsigned c = 0; c < 12; ++c) {
+            const bool u8 = c < 5;
+            std::vector<uint64_t> v(n);
+            for (uint32_t i = 0; i < n; ++i)
+                v[i] = u8 ? cols.bytes[c][i] : cols.wide[c - 5][i];
+            const unsigned width = u8 ? 1 : c == 5 ? 4 : 8;
+            const bool byteTag = tag == 3 || tag == 5;
+            const uint8_t use = tag == 0 || u8 == byteTag ? tag : 0;
+            std::vector<uint8_t> col = handEncode(use, v, width, L);
+            payload.push_back(use);
+            putLE(payload, col.size(), 4);
+            payload.insert(payload.end(), col.begin(), col.end());
+        }
+        std::vector<uint8_t> header;
+        putLE(header, n, 4);
+        putLE(header, payload.size(), 4);
+        putLE(header, codec::fnv1a(payload.data(), payload.size()), 8);
+        fileDigest = codec::fnv1a(header.data(), header.size(), fileDigest);
+        fileDigest =
+            codec::fnv1a(payload.data(), payload.size(), fileDigest);
+        image.insert(image.end(), header.begin(), header.end());
+        image.insert(image.end(), payload.begin(), payload.end());
+    }
+    putLE(image, 0x33544447, 4); // "GDT3"
+    putLE(image, 0, 4);
+    putLE(image, fileDigest, 8);
+
+    std::vector<TraceRecord> got;
+    TraceIoResult res = decodeImage(image, &got);
+    ASSERT_TRUE(res.end()) << res.message;
+    expectSameRecords(got, want, "hand-built blocks");
+    flipBattery(image, want);
+    truncationBattery(image);
 }
 
 // ------------------------------------------------ persistent tier
