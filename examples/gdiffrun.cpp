@@ -12,10 +12,11 @@
  *            --threads=4 --csv speedups.csv
  *
  * Per-job metrics are bit-identical whatever the thread count (see
- * src/runner/runner.hh for the determinism contract). With
- * --manifest, a killed sweep resumes where it stopped: completed jobs
- * are journaled and skipped on rerun, and --out switches to append
- * mode so the JSON-lines file accumulates across runs.
+ * src/runner/runner.hh for the determinism contract). The --out file
+ * is also the resume journal: each job's line is flushed as it
+ * completes, and rerunning with --resume skips every job the file
+ * already holds, appends the rest, and still gives the table, --csv
+ * and --snapshot the whole grid.
  */
 
 #include <atomic>
@@ -49,7 +50,7 @@ struct Options
     std::string csv;      // CSV path
     std::string snapshot; // metric-surface snapshot path
     std::string snapshotNote; // freeform label stored in the snapshot
-    std::string manifest; // resume manifest path
+    bool resume = false;  // skip the jobs --out already holds
     unsigned threads = 0; // 0 = hardware concurrency
     uint64_t instructions = 1'000'000;
     uint64_t warmup = 100'000;
@@ -70,9 +71,9 @@ struct Options
 
 /**
  * SIGINT/SIGTERM request a graceful stop: the sweep stops dispatching
- * new jobs, in-flight jobs finish and reach the sinks, and the
- * manifest stays consistent for a resumed run. A handler may only
- * touch lock-free state, hence the bare atomic flag.
+ * new jobs, in-flight jobs finish and reach the sinks, and the --out
+ * file holds every completed job for a resumed run. A handler may
+ * only touch lock-free state, hence the bare atomic flag.
  */
 std::atomic<bool> stopRequested{false};
 
@@ -94,16 +95,17 @@ usage(const char *argv0)
         "options:\n"
         "  --threads=N      worker threads (default: hardware "
         "concurrency)\n"
-        "  --out=FILE       JSON-lines results (appended when "
-        "resuming)\n"
+        "  --out=FILE       JSON-lines results, one flushed line per "
+        "job\n"
         "  --csv=FILE       CSV results\n"
         "  --snapshot=FILE  freeze the sweep's full metric surface as\n"
         "                   a content-digested snapshot; diff two\n"
         "                   snapshots with gdiffcmp\n"
         "  --snapshot-note=TEXT  label stored in the snapshot (e.g. a\n"
         "                   commit id)\n"
-        "  --manifest=FILE  resume journal: completed jobs are "
-        "skipped on rerun\n"
+        "  --resume         resume from --out: skip the jobs it holds,\n"
+        "                   append the rest (a torn last line is\n"
+        "                   dropped)\n"
         "  --instructions=N measured instructions per job "
         "(default 1000000)\n"
         "  --warmup=N       warmup instructions per job "
@@ -182,7 +184,6 @@ parse(int argc, char **argv)
         } else if (take("--csv", o.csv)) {
         } else if (take("--snapshot", o.snapshot)) {
         } else if (take("--snapshot-note", o.snapshotNote)) {
-        } else if (take("--manifest", o.manifest)) {
         } else if (take("--threads", v)) {
             o.threads =
                 static_cast<unsigned>(parseU64Flag("--threads",
@@ -213,6 +214,8 @@ parse(int argc, char **argv)
                                                  v.c_str(), true)) *
                 (size_t(1) << 20);
         } else if (take("--trace-out", o.traceOut)) {
+        } else if (a == "--resume") {
+            o.resume = true;
         } else if (a == "--obs-summary") {
             o.obsSummary = true;
         } else if (a == "--no-table") {
@@ -229,6 +232,9 @@ parse(int argc, char **argv)
     }
     if (!o.list && o.grid.empty())
         usage(argv[0]);
+    if (o.resume && o.out.empty())
+        fatal("--resume needs --out=FILE: the results file is what a "
+              "sweep resumes from");
     return o;
 }
 
@@ -273,16 +279,22 @@ main(int argc, char **argv)
     if (std::string error; !runner::validateJobs(sweep.jobs(), &error))
         fatal("%s", error.c_str());
 
-    // Resuming implies appending: the jsonl file already holds the
-    // manifest-recorded jobs from the previous run.
-    bool resuming = !o.manifest.empty();
+    // Read the previous run's results before the JSON-lines sink opens
+    // the file for append: a bad line stops the sweep before any job.
+    runner::SweepOptions ropt;
+    if (o.resume) {
+        if (std::string error;
+            !runner::recoverResults(o.out, ropt.resumed, &error))
+            fatal("--resume: %s", error.c_str());
+    }
+
     std::vector<std::unique_ptr<runner::ResultSink>> sinks;
     if (!o.noTable)
         sinks.push_back(std::make_unique<runner::TableSink>(
             std::cout, "sweep over " + o.grid));
     if (!o.out.empty())
         sinks.push_back(std::make_unique<runner::JsonlSink>(
-            o.out, resuming, o.deterministic));
+            o.out, o.resume, o.deterministic));
     if (!o.csv.empty())
         sinks.push_back(std::make_unique<runner::CsvSink>(o.csv));
     check::SnapshotSink *snapshotSink = nullptr;
@@ -295,9 +307,7 @@ main(int argc, char **argv)
     for (auto &s : sinks)
         sweep.addSink(*s);
 
-    runner::SweepOptions ropt;
     ropt.threads = o.threads;
-    ropt.manifestPath = o.manifest;
     ropt.useTraceCache = o.useTraceCache;
     ropt.traceCacheBytes = o.traceCacheBytes;
     ropt.traceCacheDir = o.traceCacheDir;
@@ -351,10 +361,9 @@ main(int argc, char **argv)
                      "gdiffrun: interrupted: %zu jobs canceled before "
                      "dispatch; completed jobs were flushed%s\n",
                      s.canceledJobs,
-                     o.manifest.empty()
-                         ? ""
-                         : " and journaled (rerun with the same "
-                           "--manifest to resume)");
+                     o.out.empty() ? ""
+                                   : " (rerun with --resume to "
+                                     "continue)");
     }
 
     if (!o.traceOut.empty() || o.obsSummary) {

@@ -70,20 +70,41 @@ GDIFF_SIMD=scalar ./build/examples/gdifffuzz --cases=1500 --seed=5 \
     --no-table --trace-out=build/obs_trace.json
 ./build/examples/tracecheck build/obs_trace.json --min-spans=4
 # Smoke sweep through the parallel runner: thread pool, structured
-# sinks, and manifest resume (the rerun must skip every job).
-rm -f build/smoke.jsonl build/smoke.csv build/smoke.manifest
-./build/examples/gdiffrun \
-    --grid 'workload=mcf,parser,gzip;predictor=stride,dfcm,gdiff;order=4,8' \
+# sinks, and resume from the --out file. Half the grid runs, then a
+# torn partial line is appended (a kill mid-write); the full-grid
+# --resume must run only the rest, hold each job once, and snapshot
+# the same surface as the uninterrupted sweep. A second resume runs
+# nothing.
+GRID='workload=mcf,parser,gzip;predictor=stride,dfcm,gdiff;order=4,8'
+rm -f build/smoke.jsonl build/smoke.csv build/smoke.snap \
+    build/resume.jsonl build/resume.csv build/resume.snap
+./build/examples/gdiffrun --grid "$GRID" \
     --threads=4 --instructions=100000 --warmup=20000 \
     --out build/smoke.jsonl --csv build/smoke.csv \
-    --manifest build/smoke.manifest
+    --snapshot build/smoke.snap
 [ "$(wc -l < build/smoke.jsonl)" -eq 18 ] || {
     echo "smoke sweep: expected 18 jsonl lines"; exit 1; }
 ./build/examples/gdiffrun \
-    --grid 'workload=mcf,parser,gzip;predictor=stride,dfcm,gdiff;order=4,8' \
+    --grid 'workload=mcf;predictor=stride,dfcm,gdiff;order=4,8' \
     --threads=4 --instructions=100000 --warmup=20000 \
-    --out build/smoke.jsonl --manifest build/smoke.manifest \
-    --no-table 2>&1 | grep -q 'ran 0 jobs (18 resumed/skipped)' || {
+    --no-table --out build/resume.jsonl
+printf '{"workload":"parser","mode":"pro' >> build/resume.jsonl
+./build/examples/gdiffrun --grid "$GRID" \
+    --threads=4 --instructions=100000 --warmup=20000 --no-table \
+    --resume --out build/resume.jsonl --csv build/resume.csv \
+    --snapshot build/resume.snap 2>&1 |
+    grep -q 'ran 12 jobs (6 resumed/skipped)' || {
+    echo "smoke sweep: resume did not skip the committed jobs"; exit 1; }
+./build/examples/gdiffcmp build/smoke.snap build/resume.snap || {
+    echo "smoke sweep: resumed snapshot differs"; exit 1; }
+[ -z "$(sed 's/,"index".*//' build/resume.jsonl | sort | uniq -d)" ] || {
+    echo "smoke sweep: a job appears twice after resume"; exit 1; }
+[ "$(wc -l < build/resume.csv)" -eq 19 ] || {
+    echo "smoke sweep: resumed CSV lacks grid rows"; exit 1; }
+./build/examples/gdiffrun --grid "$GRID" \
+    --threads=4 --instructions=100000 --warmup=20000 --no-table \
+    --resume --out build/resume.jsonl 2>&1 |
+    grep -q 'ran 0 jobs (18 resumed/skipped)' || {
     echo "smoke sweep: resume did not skip completed jobs"; exit 1; }
 # Differential fuzz smoke: oracles vs production predictors, pipeline
 # invariants, and the mutation-sanity self-test.

@@ -131,7 +131,7 @@ JobSpec::key() const
        << " warmup=" << warmup;
     // Sampling changes what a job computes, so it is part of the
     // identity — but only when on, keeping every pre-sampling
-    // manifest and result file joinable.
+    // result file joinable.
     if (sampleBudget != 0) {
         os << " sample_budget=" << sampleBudget
            << " sample_window=" << sampleWindow

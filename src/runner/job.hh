@@ -7,8 +7,8 @@
  * predictor or scheme, and the run budget. Declarative specs are what
  * make the runner deterministic: a job's result depends only on its
  * spec, never on which thread ran it or in what order, and a job's
- * key() is a stable identity usable for resume manifests and
- * result-file joins.
+ * key() is a stable identity usable for resuming from a results file
+ * and for result-file joins.
  */
 
 #ifndef GDIFF_RUNNER_JOB_HH
@@ -92,8 +92,8 @@ struct JobSpec
      * @return the canonical identity string, e.g.
      * "mode=profile workload=mcf predictor=gdiff order=8 table=8192
      *  seed=1 instructions=1000000 warmup=100000".
-     * Equal specs produce equal keys; the resume manifest and the
-     * structured sinks use it as the join key.
+     * Equal specs produce equal keys; resuming from a results file
+     * and the structured sinks use it as the join key.
      */
     std::string key() const;
 

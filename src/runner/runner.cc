@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <unordered_map>
 
 #include "obs/obs.hh"
 #include "pipeline/config.hh"
@@ -221,19 +222,25 @@ SweepRunner::run(const SweepOptions &options)
     SweepSummary summary;
     summary.totalJobs = jobList.size();
 
-    std::unique_ptr<Manifest> manifest;
-    if (!options.manifestPath.empty())
-        manifest = std::make_unique<Manifest>(options.manifestPath);
-
     // Decide up front which grid indices still need to run, so the
-    // pool's shared queue only contains real work.
+    // pool's shared queue only contains real work. Resumed records
+    // match by key, not by index, so an edited grid resumes too.
+    std::unordered_map<std::string, const JobRecord *> done;
+    for (const JobRecord &rec : options.resumed)
+        done.emplace(rec.spec.key(), &rec);
     std::vector<size_t> todo;
     todo.reserve(jobList.size());
     for (size_t i = 0; i < jobList.size(); ++i) {
-        if (manifest && manifest->contains(jobList[i].key()))
-            ++summary.skippedJobs;
-        else
+        auto it = done.find(jobList[i].key());
+        if (it == done.end()) {
             todo.push_back(i);
+            continue;
+        }
+        JobRecord rec = *it->second;
+        rec.index = i;
+        for (ResultSink *sink : sinks)
+            sink->onRecovered(rec);
+        ++summary.skippedJobs;
     }
 
     workload::TraceCache *cache = nullptr;
@@ -266,7 +273,7 @@ SweepRunner::run(const SweepOptions &options)
     pool.forEach(todo.size(), [&](size_t t) {
         // Cancellation is checked at dispatch only: a job that
         // already started always finishes and reaches the sinks, so
-        // the manifest never records a half-run job.
+        // the results file never holds a half-run job.
         if (options.cancel &&
             options.cancel->load(std::memory_order_relaxed)) {
             canceled.fetch_add(1, std::memory_order_relaxed);
@@ -295,8 +302,6 @@ SweepRunner::run(const SweepOptions &options)
         std::lock_guard<std::mutex> guard(sinkLock);
         for (ResultSink *sink : sinks)
             sink->onJob(rec);
-        if (manifest)
-            manifest->markDone(rec.spec.key());
         ++summary.ranJobs;
         if (rec.result.traceReplayed) {
             ++summary.replayedJobs;
@@ -310,8 +315,8 @@ SweepRunner::run(const SweepOptions &options)
     });
 
     // Sinks still finish on cancellation: buffered sinks (table, CSV)
-    // flush what completed, and the jsonl/manifest files were flushed
-    // per job already.
+    // flush what completed, and the jsonl file was flushed per job
+    // already.
     for (ResultSink *sink : sinks)
         sink->finish();
 

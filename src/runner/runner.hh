@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "runner/job.hh"
-#include "runner/manifest.hh"
 #include "runner/sinks.hh"
 #include "runner/sweep_spec.hh"
 #include "workload/trace_cache.hh"
@@ -103,7 +102,13 @@ JobResult runJob(const JobSpec &spec,
 struct SweepOptions
 {
     unsigned threads = 0;      ///< worker count; 0 = hardware
-    std::string manifestPath;  ///< resume manifest; empty = disabled
+    /**
+     * Resume input (recoverResults). A grid job whose key() matches a
+     * record is not rerun: the record, re-indexed to the job, goes to
+     * every sink's onRecovered before any job starts, so the sinks
+     * still see the whole grid. Records off the grid are ignored.
+     */
+    std::vector<JobRecord> resumed;
     /// resolve job streams through the shared trace cache
     bool useTraceCache = true;
     /// trace-cache byte cap applied before the sweep; 0 keeps the
@@ -118,9 +123,9 @@ struct SweepOptions
     /**
      * Cooperative cancellation (graceful SIGINT/SIGTERM drain): when
      * the pointee becomes true, workers stop *dispatching* new jobs
-     * but every job already running completes, reaches the sinks,
-     * and is journaled in the manifest — so an interrupted sweep
-     * loses nothing and resumes cleanly. Non-owning; may be null.
+     * but every job already running completes and reaches the sinks
+     * (its JSON line is flushed) — so an interrupted sweep loses
+     * nothing and resumes cleanly. Non-owning; may be null.
      */
     const std::atomic<bool> *cancel = nullptr;
 };
@@ -130,7 +135,8 @@ struct SweepSummary
 {
     size_t totalJobs = 0;   ///< jobs in the expanded grid
     size_t ranJobs = 0;     ///< jobs executed this run
-    size_t skippedJobs = 0; ///< jobs skipped via the resume manifest
+    /// jobs not run because SweepOptions::resumed held their result
+    size_t skippedJobs = 0;
     /// jobs never dispatched because SweepOptions::cancel fired
     size_t canceledJobs = 0;
     double wallSeconds = 0; ///< whole-sweep wall time
@@ -162,7 +168,7 @@ class SweepRunner
     const std::vector<JobSpec> &jobs() const { return jobList; }
 
     /**
-     * Run every job not already recorded in the manifest, deliver
+     * Deliver the resumed records, run every other job and deliver
      * each result to every sink, then finish() the sinks.
      */
     SweepSummary run(const SweepOptions &options = SweepOptions());

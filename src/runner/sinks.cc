@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -18,13 +21,6 @@ sortByIndex(std::vector<JobRecord> &recs)
               [](const JobRecord &a, const JobRecord &b) {
                   return a.index < b.index;
               });
-}
-
-/** Lossless JSON string escaping lives in util/json. */
-std::string
-jsonEscape(const std::string &s)
-{
-    return json::escape(s);
 }
 
 /**
@@ -168,6 +164,69 @@ parseRecordJson(const json::Value &record, JobRecord &out,
     return true;
 }
 
+bool
+recoverResults(const std::string &path, std::vector<JobRecord> &out,
+               std::string *error)
+{
+    auto fail = [&](std::string msg) {
+        if (error)
+            *error = std::move(msg);
+        return false;
+    };
+    out.clear();
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::filesystem::exists(path)
+                   ? fail(path + ": cannot open for reading")
+                   : true; // nothing committed yet
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    if (in.bad())
+        return fail(path + ": read error");
+
+    // Lines up to the last newline are committed; the rest is a torn
+    // write and is dropped.
+    const size_t committed = text.rfind('\n') + 1; // npos + 1 == 0
+    std::vector<JobRecord> recs;
+    size_t lineNo = 0;
+    for (size_t pos = 0; pos < committed;) {
+        const size_t end = text.find('\n', pos);
+        ++lineNo;
+        json::Value value;
+        JobRecord rec;
+        std::string why;
+        if (!json::parse(std::string_view(text).substr(pos, end - pos),
+                         value, &why) ||
+            !parseRecordJson(value, rec, &why))
+            return fail(formatString("%s: line %zu: %s", path.c_str(),
+                                     lineNo, why.c_str()));
+        // Keep the timing metadata a full line carries, so the table
+        // and CSV of a resumed sweep show what each job cost.
+        auto timing = [&](const char *key, double &dst) {
+            if (const json::Value *t = value.find(key); t && t->isNumber())
+                dst = t->number;
+        };
+        JobResult &r = rec.result;
+        timing("wall_seconds", r.wallSeconds);
+        timing("instructions_per_sec", r.instructionsPerSec);
+        timing("trace_generate_seconds", r.traceGenerateSeconds);
+        timing("obs_fill_seconds", r.obsFillSeconds);
+        timing("obs_sim_seconds", r.obsSimSeconds);
+        const json::Value *source = value.find("trace_source");
+        r.traceReplayed = source && source->str == "replay";
+        recs.push_back(std::move(rec));
+        pos = end + 1;
+    }
+    if (committed < text.size()) {
+        std::error_code ec;
+        std::filesystem::resize_file(path, committed, ec);
+        if (ec)
+            return fail(path + ": cannot drop the torn final line: " +
+                        ec.message());
+    }
+    out = std::move(recs);
+    return true;
+}
+
 // --------------------------------------------------- CollectingSink
 
 void
@@ -201,17 +260,13 @@ TableSink::finish()
         return;
     sortByIndex(recs);
     stats::Table t(title, "job");
-    for (const auto &[name, value] : recs.front().result.metrics) {
-        (void)value;
-        t.addColumn(name);
-    }
+    for (const auto &metric : recs.front().result.metrics)
+        t.addColumn(metric.first);
     t.addColumn("Minst/s");
     for (const auto &r : recs) {
         t.beginRow(r.spec.label());
-        for (const auto &[name, value] : recs.front().result.metrics) {
-            (void)value;
-            t.cellDouble(r.result.metric(name), 4);
-        }
+        for (const auto &metric : recs.front().result.metrics)
+            t.cellDouble(r.result.metric(metric.first), 4);
         t.cellDouble(r.result.instructionsPerSec / 1e6, 2);
     }
     t.print(os);
@@ -246,10 +301,8 @@ CsvSink::finish()
     std::fprintf(file, "index,workload,mode,predictor,scheme,order,"
                        "table,seed,instructions,warmup");
     if (!recs.empty())
-        for (const auto &[name, value] : recs.front().result.metrics) {
-            (void)value;
-            std::fprintf(file, ",%s", csvField(name).c_str());
-        }
+        for (const auto &metric : recs.front().result.metrics)
+            std::fprintf(file, ",%s", csvField(metric.first).c_str());
     std::fprintf(file, ",wall_seconds,instructions_per_sec,"
                        "trace_source,trace_generate_seconds,"
                        "obs_fill_seconds,obs_sim_seconds\n");
@@ -268,11 +321,10 @@ CsvSink::finish()
                          : "",
                      s.order, s.tableEntries, s.seed, s.instructions,
                      s.warmup);
-        for (const auto &[name, value] : recs.front().result.metrics) {
-            (void)value;
-            std::fprintf(file, ",%s",
-                         jsonDouble(r.result.metric(name)).c_str());
-        }
+        for (const auto &metric : recs.front().result.metrics)
+            std::fprintf(
+                file, ",%s",
+                jsonDouble(r.result.metric(metric.first)).c_str());
         std::fprintf(file, ",%.3f,%.0f,%s,%.3f,%.3f,%.3f\n",
                      r.result.wallSeconds,
                      r.result.instructionsPerSec,
@@ -306,12 +358,12 @@ std::string
 JsonlSink::deterministicJson(const JobRecord &record)
 {
     const JobSpec &s = record.spec;
-    std::string out = "{\"workload\":\"" + jsonEscape(s.workload) +
+    std::string out = "{\"workload\":\"" + json::escape(s.workload) +
                       "\",\"mode\":\"" + jobModeName(s.mode) + "\"";
     if (s.mode == JobMode::Profile)
-        out += ",\"predictor\":\"" + jsonEscape(s.predictor) + "\"";
+        out += ",\"predictor\":\"" + json::escape(s.predictor) + "\"";
     else
-        out += ",\"scheme\":\"" + jsonEscape(s.scheme) + "\"";
+        out += ",\"scheme\":\"" + json::escape(s.scheme) + "\"";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   ",\"order\":%u,\"table\":%" PRIu64
@@ -339,7 +391,7 @@ JsonlSink::deterministicJson(const JobRecord &record)
         if (!first)
             out += ',';
         first = false;
-        out += '"' + jsonEscape(name) + "\":" + jsonDouble(value);
+        out += '"' + json::escape(name) + "\":" + jsonDouble(value);
     }
     out += "}}";
     return out;

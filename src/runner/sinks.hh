@@ -9,7 +9,9 @@
  * (table, CSV) buffer records and emit sorted by job index at
  * finish(); the JSON-lines sink streams immediately — line order is
  * nondeterministic but line *content* is bit-identical, and each line
- * is flushed so a killed sweep keeps everything it completed.
+ * is flushed so a killed sweep keeps everything it completed: that
+ * line is the job's commit point, and the file is the sweep's only
+ * resume journal (recoverResults).
  */
 
 #ifndef GDIFF_RUNNER_SINKS_HH
@@ -42,6 +44,20 @@ namespace runner {
 bool parseRecordJson(const json::Value &record, JobRecord &out,
                      std::string *error = nullptr);
 
+/**
+ * Read back a JSON-lines results file to resume its sweep. Every
+ * newline-terminated line is a committed job and must parse; an
+ * unterminated last line is a torn write, dropped by truncating the
+ * file to its last newline (only once every committed line parsed).
+ * A missing file holds no jobs. Records keep their line's index and
+ * timing metadata.
+ *
+ * @return true on success; false with @p error (if non-null) naming
+ * the file and the 1-based bad line, or the I/O failure.
+ */
+bool recoverResults(const std::string &path, std::vector<JobRecord> &out,
+                    std::string *error = nullptr);
+
 /** Consumer of completed jobs. */
 class ResultSink
 {
@@ -50,6 +66,12 @@ class ResultSink
 
     /** One job finished. Called in completion order, serialised. */
     virtual void onJob(const JobRecord &record) = 0;
+
+    /**
+     * A resumed sweep recovered @p record instead of running it.
+     * Called in grid order before any job runs; defaults to onJob.
+     */
+    virtual void onRecovered(const JobRecord &record) { onJob(record); }
 
     /** All jobs finished; flush/emit final output. */
     virtual void finish() {}
@@ -115,16 +137,17 @@ class CsvSink : public ResultSink
 /**
  * JSON-lines sink: one self-describing object per job with the full
  * spec, metrics, and timing metadata. Lines are appended and flushed
- * as jobs complete, making the file crash-durable and append-friendly
- * for resumed sweeps.
+ * as jobs complete, making the file crash-durable and the resume
+ * journal of the sweep (recoverResults). Recovered records are
+ * already in the file, so onRecovered writes nothing.
  */
 class JsonlSink : public ResultSink
 {
   public:
     /**
      * @param path   output file.
-     * @param append open in append mode (resumed sweeps) instead of
-     *               truncating.
+     * @param append open in append mode (resumed sweeps, after
+     *               recoverResults) instead of truncating.
      * @param deterministicOnly drop the timing metadata and write only
      *               the deterministic payload, so two runs of the same
      *               grid (any thread count, daemon or in-process) can
@@ -135,6 +158,7 @@ class JsonlSink : public ResultSink
     ~JsonlSink() override;
 
     void onJob(const JobRecord &record) override;
+    void onRecovered(const JobRecord &) override {}
     void finish() override;
 
     /**

@@ -8,7 +8,8 @@
  * product into a deterministic, stably ordered vector of JobSpecs.
  * The expansion order is part of the contract: job index i always
  * names the same grid cell, across runs and thread counts, which is
- * what lets sinks and resume manifests key off it.
+ * what lets sinks sort by it. Resuming matches jobs by key, not by
+ * index.
  *
  * Grids can also be parsed from the compact CLI syntax used by
  * gdiffrun:

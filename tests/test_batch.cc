@@ -133,8 +133,9 @@ TEST(BatchIdentity, GatheredValueLanesDriveBatchCalls)
         int64_t v = 0;
         bool p = scalar.predict(pcs[l], v);
         ASSERT_EQ(p, out.predicted[l] != 0) << "lane " << l;
-        if (p)
+        if (p) {
             ASSERT_EQ(v, out.value[l]) << "lane " << l;
+        }
         scalar.update(pcs[l], addrs[l]);
     }
     for (uint32_t l = 0; l < lanes; ++l) {
@@ -142,8 +143,9 @@ TEST(BatchIdentity, GatheredValueLanesDriveBatchCalls)
         bool pa = scalar.predict(pcs[l], a);
         bool pb = batch.predict(pcs[l], b);
         ASSERT_EQ(pa, pb);
-        if (pa)
+        if (pa) {
             ASSERT_EQ(a, b);
+        }
     }
 
     // The limit cuts the chunk short.

@@ -3,12 +3,18 @@
  * Sweep-runner tests: grid parsing/expansion, the thread pool, the
  * determinism contract (identical per-job metrics for 1 vs 4
  * threads, compared order-independently on the JSON-lines output),
- * resume via the manifest, and the structured sinks.
+ * resume from the JSON-lines results file (including after a
+ * SIGKILL), and the structured sinks.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -20,6 +26,7 @@
 #include "runner/factory.hh"
 #include "runner/runner.hh"
 #include "stats/table.hh"
+#include "util/json.hh"
 #include "util/parse.hh"
 
 namespace gdiff {
@@ -252,50 +259,180 @@ TEST(SweepRunnerTest, PipelineJobsDeterministicToo)
 
 // ------------------------------------------------------------ resume
 
-TEST(SweepRunnerTest, ManifestResumeSkipsCompletedJobs)
+/** Records which grid indices ran and which were recovered. */
+struct ResumeLog : ResultSink
 {
-    std::string manifest = tempPath("resume.manifest");
-    std::remove(manifest.c_str());
+    std::set<size_t> ran, recovered;
+    void onJob(const JobRecord &r) override { ran.insert(r.index); }
+    void onRecovered(const JobRecord &r) override
+    {
+        recovered.insert(r.index);
+    }
+};
+
+/** @return the file's lines, sorted. */
+std::vector<std::string>
+sortedLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.is_open()) << path;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+size_t
+fileSize(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    return static_cast<size_t>(in.tellg());
+}
+
+/** Run @p jobs on one thread into a deterministic-only jsonl file. */
+void
+writeResults(const std::vector<JobSpec> &jobs, const std::string &path,
+             bool append = false)
+{
+    SweepRunner sweep(jobs);
+    JsonlSink jsonl(path, append, /*deterministicOnly=*/true);
+    sweep.addSink(jsonl);
+    SweepOptions opt;
+    opt.threads = 1;
+    sweep.run(opt);
+}
+
+TEST(SweepRunnerTest, ResumeSkipsJobsInResultsFile)
+{
+    std::string path = tempPath("resume.jsonl");
     SweepSpec spec = smallGrid();
 
-    // Pre-mark half the grid as done, as if a previous run was
-    // killed partway.
+    // Commit the odd half of the grid, as if a previous run was
+    // killed partway. Written as its own 12-job sweep, the records
+    // carry indices 0..11, so the resume must match them by key.
     std::vector<JobSpec> jobs = spec.expand();
-    {
-        Manifest m(manifest);
-        for (size_t i = 0; i < jobs.size() / 2; ++i)
-            m.markDone(jobs[i].key());
-    }
+    std::vector<JobSpec> odd;
+    for (size_t i = 1; i < jobs.size(); i += 2)
+        odd.push_back(jobs[i]);
+    writeResults(odd, path);
 
     {
+        std::vector<JobRecord> done;
+        std::string error;
+        ASSERT_TRUE(recoverResults(path, done, &error)) << error;
+        ASSERT_EQ(done.size(), 12u);
         SweepRunner sweep(spec);
-        CollectingSink collect;
-        sweep.addSink(collect);
+        ResumeLog log;
+        JsonlSink jsonl(path, /*append=*/true, true);
+        sweep.addSink(log);
+        sweep.addSink(jsonl);
         SweepOptions opt;
         opt.threads = 2;
-        opt.manifestPath = manifest;
+        opt.resumed = std::move(done);
         SweepSummary s = sweep.run(opt);
         EXPECT_EQ(s.totalJobs, 24u);
         EXPECT_EQ(s.skippedJobs, 12u);
         EXPECT_EQ(s.ranJobs, 12u);
-        // The jobs that ran are exactly the un-marked half.
-        std::set<size_t> ranIndices;
-        for (const auto &r : collect.records())
-            ranIndices.insert(r.index);
-        for (size_t i = jobs.size() / 2; i < jobs.size(); ++i)
-            EXPECT_TRUE(ranIndices.count(i)) << "missing job " << i;
+        // The jobs that ran are exactly the half not already written,
+        // and the written half reached the sinks at its grid index.
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(log.ran.count(i), i % 2 == 0 ? 1u : 0u) << i;
+            EXPECT_EQ(log.recovered.count(i), i % 2 == 1 ? 1u : 0u)
+                << i;
+        }
     }
 
-    // Second rerun: everything is recorded now, nothing runs.
+    // Second resume: everything is recorded now, nothing runs.
     {
+        std::vector<JobRecord> done;
+        ASSERT_TRUE(recoverResults(path, done));
+        EXPECT_EQ(done.size(), 24u);
         SweepRunner sweep(spec);
         SweepOptions opt;
-        opt.manifestPath = manifest;
+        opt.resumed = std::move(done);
         SweepSummary s = sweep.run(opt);
         EXPECT_EQ(s.ranJobs, 0u);
         EXPECT_EQ(s.skippedJobs, 24u);
     }
-    std::remove(manifest.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(SweepRunnerTest, ResumeAfterSigkillMatchesUninterruptedRun)
+{
+    std::string full = tempPath("uninterrupted.jsonl");
+    std::string killed = tempPath("killed.jsonl");
+    std::string csv = tempPath("resumed.csv");
+    SweepSpec spec = smallGrid();
+    writeResults(spec.expand(), full);
+
+    // The child dies by SIGKILL right after the k-th job's line is
+    // flushed: no destructor, no finish(), no buffered sink output.
+    constexpr size_t k = 7;
+    std::remove(killed.c_str());
+    pid_t pid = fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+        struct KillAfter : ResultSink
+        {
+            size_t left = k;
+            void onJob(const JobRecord &) override
+            {
+                if (--left == 0)
+                    std::raise(SIGKILL);
+            }
+        } killer;
+        SweepRunner sweep(spec);
+        JsonlSink jsonl(killed, false, /*deterministicOnly=*/true);
+        sweep.addSink(jsonl);
+        sweep.addSink(killer);
+        SweepOptions opt;
+        opt.threads = 1;
+        sweep.run(opt);
+        _exit(0); // not reached: the grid holds more than k jobs
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "child status " << status;
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+
+    std::vector<JobRecord> done;
+    std::string error;
+    ASSERT_TRUE(recoverResults(killed, done, &error)) << error;
+    EXPECT_EQ(done.size(), k);
+    {
+        SweepRunner sweep(spec);
+        JsonlSink jsonl(killed, /*append=*/true, true);
+        CsvSink table(csv);
+        sweep.addSink(jsonl);
+        sweep.addSink(table);
+        SweepOptions opt;
+        opt.threads = 2;
+        opt.resumed = std::move(done);
+        SweepSummary s = sweep.run(opt);
+        EXPECT_EQ(s.skippedJobs, k);
+        EXPECT_EQ(s.ranJobs, 24u - k);
+    }
+
+    // Each job once, and byte-identical to the uninterrupted run.
+    std::vector<std::string> lines = sortedLines(killed);
+    std::set<std::string> keys;
+    for (const std::string &line : lines) {
+        JobRecord rec;
+        json::Value v;
+        ASSERT_TRUE(json::parse(line, v) && parseRecordJson(v, rec))
+            << line;
+        EXPECT_TRUE(keys.insert(rec.spec.key()).second)
+            << "duplicate job " << rec.spec.key();
+    }
+    EXPECT_EQ(keys.size(), 24u);
+    EXPECT_EQ(lines, sortedLines(full));
+    // The CSV of the resumed run holds the whole grid: a header plus
+    // one row per job.
+    EXPECT_EQ(sortedLines(csv).size(), 25u);
+    std::remove(full.c_str());
+    std::remove(killed.c_str());
+    std::remove(csv.c_str());
 }
 
 TEST(SweepRunnerTest, CancelFlagStopsDispatchButKeepsCompletedWork)
@@ -347,38 +484,100 @@ TEST(SweepRunnerTest, CancelFlagStopsDispatchButKeepsCompletedWork)
     }
 }
 
-TEST(ManifestTest, PersistsAcrossReopen)
+TEST(ResumeTest, ResultsFilePersistsAcrossReopen)
 {
-    std::string path = tempPath("manifest.txt");
+    std::string path = tempPath("reopen.jsonl");
     std::remove(path.c_str());
+    JobSpec a, b, c;
+    a.workload = "micro.stride";
+    b.workload = "micro.periodic";
+    c.workload = "micro.pairsum";
+    auto record = [](size_t index, const JobSpec &spec) {
+        JobRecord rec{index, spec, {}};
+        rec.result.metrics = {{"accuracy", 0.25}};
+        rec.result.wallSeconds = 1.5;
+        return rec;
+    };
+    std::vector<JobRecord> done;
+    ASSERT_TRUE(recoverResults(path, done)); // missing file: no jobs
+    EXPECT_TRUE(done.empty());
     {
-        Manifest m(path);
-        EXPECT_FALSE(m.contains("job-a"));
-        m.markDone("job-a");
-        m.markDone("job-b");
-        m.markDone("job-a"); // duplicate: recorded once
-        EXPECT_EQ(m.size(), 2u);
+        JsonlSink sink(path);
+        sink.onJob(record(0, a));
+        sink.onJob(record(1, b));
+        // A recovered record is already in the file: not rewritten.
+        sink.onRecovered(record(0, a));
+        sink.finish();
     }
-    {
-        Manifest m(path);
-        EXPECT_TRUE(m.contains("job-a"));
-        EXPECT_TRUE(m.contains("job-b"));
-        EXPECT_FALSE(m.contains("job-c"));
-        EXPECT_EQ(m.size(), 2u);
-    }
+    auto keysIn = [&] {
+        std::vector<JobRecord> recs;
+        std::string error;
+        EXPECT_TRUE(recoverResults(path, recs, &error)) << error;
+        std::set<std::string> keys;
+        for (const auto &r : recs) {
+            keys.insert(r.spec.key());
+            EXPECT_EQ(r.result.wallSeconds, 1.5); // timing kept
+        }
+        EXPECT_EQ(keys.size(), recs.size()) << "duplicate line";
+        return keys;
+    };
+    std::set<std::string> keys = keysIn();
+    EXPECT_TRUE(keys.count(a.key()));
+    EXPECT_TRUE(keys.count(b.key()));
+    EXPECT_FALSE(keys.count(c.key()));
+    EXPECT_EQ(keys.size(), 2u);
+    // Reading a clean file does not change it.
+    EXPECT_EQ(keysIn(), keys);
     std::remove(path.c_str());
 }
 
-TEST(ManifestTest, IgnoresTornFinalLine)
+TEST(ResumeTest, DropsTornFinalLine)
 {
-    std::string path = tempPath("torn.manifest");
+    std::string path = tempPath("torn.jsonl");
+    SweepSpec spec = smallGrid();
+    std::vector<JobSpec> jobs = spec.expand();
+    writeResults({jobs[0], jobs[1]}, path);
+    const size_t committed = fileSize(path);
     {
-        std::ofstream out(path, std::ios::trunc);
-        out << "job-a\njob-b"; // no trailing newline: torn append
+        // A kill mid-write leaves part of a line and no newline.
+        std::ofstream out(path, std::ios::app);
+        out << "{\"workload\":\"micro.str";
     }
-    Manifest m(path);
-    EXPECT_TRUE(m.contains("job-a"));
-    EXPECT_FALSE(m.contains("job-b"));
+    std::vector<JobRecord> done;
+    std::string error;
+    ASSERT_TRUE(recoverResults(path, done, &error)) << error;
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[0].spec.key(), jobs[0].key());
+    EXPECT_EQ(done[1].spec.key(), jobs[1].key());
+    // The torn bytes are gone, so the next append starts a clean line.
+    EXPECT_EQ(fileSize(path), committed);
+    writeResults({jobs[2]}, path, /*append=*/true);
+    ASSERT_TRUE(recoverResults(path, done, &error)) << error;
+    EXPECT_EQ(done.size(), 3u);
+    std::remove(path.c_str());
+}
+
+TEST(ResumeTest, BadMiddleLineIsAnErrorNamingTheLine)
+{
+    std::string path = tempPath("bad_middle.jsonl");
+    SweepSpec spec = smallGrid();
+    std::vector<JobSpec> jobs = spec.expand();
+    for (const char *bad : {"{not json", "{\"workload\":\"mcf\"}"}) {
+        writeResults({jobs[0]}, path);
+        {
+            std::ofstream out(path, std::ios::app);
+            out << bad << "\n";
+        }
+        writeResults({jobs[1]}, path, /*append=*/true);
+        const size_t size = fileSize(path);
+        std::vector<JobRecord> done;
+        std::string error;
+        EXPECT_FALSE(recoverResults(path, done, &error)) << bad;
+        EXPECT_NE(error.find(path + ": line 2: "), std::string::npos)
+            << error;
+        EXPECT_TRUE(done.empty());
+        EXPECT_EQ(fileSize(path), size); // left untouched
+    }
     std::remove(path.c_str());
 }
 

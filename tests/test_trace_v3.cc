@@ -130,9 +130,10 @@ spit(const std::string &path, const std::vector<uint8_t> &bytes)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << path;
-    if (!bytes.empty()) // data() of an empty vector may be null
+    if (!bytes.empty()) { // data() of an empty vector may be null
         EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
                   bytes.size());
+    }
     std::fclose(f);
 }
 

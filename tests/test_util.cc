@@ -445,8 +445,9 @@ TEST(JsonFuzz, RandomGarbageNeverCrashesTheParser)
         for (size_t i = 0; i < len; ++i)
             doc.push_back(static_cast<char>(rng.below(256)));
         std::string error;
-        if (!json::parse(doc, v, &error))
+        if (!json::parse(doc, v, &error)) {
             EXPECT_FALSE(error.empty());
+        }
     }
 }
 
